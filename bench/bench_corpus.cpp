@@ -165,16 +165,9 @@ int
 main(int argc, char** argv)
 {
     using namespace nnsmith;
-    bench::BenchOptions options = bench::parseArgs(argc, argv);
-    const char* out_path = nullptr;
-    bool iters_given = false;
-    for (int i = 1; i < argc; ++i) {
-        iters_given = iters_given || std::strcmp(argv[i], "--iters") == 0;
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[i + 1];
-    }
-    if (!iters_given)
-        options.iters = 200; // the acceptance campaign size
+    // The acceptance campaign size: 200 iterations.
+    const bench::BenchOptions options =
+        bench::parseArgs(argc, argv, /*default_iters=*/200);
 
     if (!options.corpusDir.empty())
         return replayOnly(options.corpusDir);
@@ -241,9 +234,11 @@ main(int argc, char** argv)
     const bool roundtrip_ok = graph_rt.identical == graph_rt.files &&
                               seq_rt.identical == seq_rt.files;
 
-    FILE* out = out_path != nullptr ? std::fopen(out_path, "w") : stdout;
+    FILE* out = options.outPath.empty()
+                    ? stdout
+                    : std::fopen(options.outPath.c_str(), "w");
     if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", out_path);
+        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
         return 1;
     }
     std::fprintf(out, "{\n");

@@ -12,7 +12,8 @@
  *
  *  2. "sharded determinism": the same fuzzer through the parallel
  *     campaign runner at shards=1 and shards=2; the merged results
- *     must be byte-identical (the fuzzer is iteration-independent).
+ *     must render byte-identically (fuzz::renderCampaignResult; the
+ *     fuzzer is iteration-independent).
  *
  *  3. "campaign": the end-to-end NNSmith campaign of
  *     bench_kernels.cpp (identical heavy-tensor generator config and
@@ -79,21 +80,6 @@ passFuzzCampaign(int shards, uint64_t seed, size_t iters,
     return config;
 }
 
-bool
-sameMerged(const fuzz::CampaignResult& a, const fuzz::CampaignResult& b)
-{
-    auto keys = [](const fuzz::CampaignResult& r) {
-        std::vector<std::string> out;
-        for (const auto& [key, bug] : r.bugs)
-            out.push_back(key);
-        return out;
-    };
-    return a.iterations == b.iterations &&
-           a.coverAll.branches() == b.coverAll.branches() &&
-           a.coverPass.branches() == b.coverPass.branches() &&
-           keys(a) == keys(b) && a.instanceKeys == b.instanceKeys;
-}
-
 /**
  * The bench_kernels.cpp campaign (same generator/search config — see
  * that file for the workload rationale) with TVMLite running
@@ -149,16 +135,9 @@ int
 main(int argc, char** argv)
 {
     using namespace nnsmith;
-    bench::BenchOptions options = bench::parseArgs(argc, argv);
-    const char* out_path = nullptr;
-    bool iters_given = false;
-    for (int i = 1; i < argc; ++i) {
-        iters_given = iters_given || std::strcmp(argv[i], "--iters") == 0;
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[i + 1];
-    }
-    if (!iters_given)
-        options.iters = 300; // bin discovery saturates well before
+    // Bin discovery saturates well before 300 iterations.
+    const bench::BenchOptions options =
+        bench::parseArgs(argc, argv, /*default_iters=*/300);
 
     // ---- 1. serial sequence-fuzzing throughput + bin growth ----------
     coverage::CoverageRegistry::instance().resetHits();
@@ -187,7 +166,8 @@ main(int argc, char** argv)
     const auto sharded = fuzz::runParallelCampaign(passFuzzCampaign(
         std::max(2, options.shards), options.seed, options.iters,
         options.workerMode));
-    const bool identical = sameMerged(serial, sharded);
+    const bool identical = fuzz::renderCampaignResult(serial) ==
+                           fuzz::renderCampaignResult(sharded);
     std::printf("sharded pass-fuzz campaign identical (1 vs %d shards): "
                 "%s; %zu bugs, %zu distinct sequences\n",
                 std::max(2, options.shards), identical ? "yes" : "NO — BUG",
@@ -196,9 +176,11 @@ main(int argc, char** argv)
     // ---- 3. end-to-end campaign throughput ---------------------------
     const double iters_per_sec = campaignItersPerSec(options.seed, 120);
 
-    FILE* out = out_path != nullptr ? std::fopen(out_path, "w") : stdout;
+    FILE* out = options.outPath.empty()
+                    ? stdout
+                    : std::fopen(options.outPath.c_str(), "w");
     if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", out_path);
+        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
         return 1;
     }
     std::fprintf(out, "{\n");

@@ -6,8 +6,9 @@
  * pass registries (backends/graph_pass.h, tirlite/tir_passes.h).
  *
  * For each backend, a sharded PassSequenceFuzzer campaign runs at
- * shards 1, 2 and 4; the merged results must be byte-identical (the
- * fuzzer is iteration-independent). The sequence-coverage bins each
+ * shards 1, 2 and 4; the merged results must be identical (byte-equal
+ * renderCampaignResult text, bench/identity.h; the fuzzer is
+ * iteration-independent). The sequence-coverage bins each
  * campaign explored are then reconstructed from the merged distinct
  * sequences via the shared sequenceCoverageBins() helper, and the
  * three bin sets are decomposed into the 7-region Venn. Pass names are
@@ -25,6 +26,7 @@
 #include "backends/graph_pass.h"
 #include "bench_util.h"
 #include "fuzz/pass_fuzzer.h"
+#include "identity.h"
 
 namespace {
 
@@ -70,21 +72,6 @@ vennCampaign(const std::string& backend, const std::string& component,
         return owned;
     };
     return config;
-}
-
-bool
-sameMerged(const fuzz::CampaignResult& a, const fuzz::CampaignResult& b)
-{
-    auto keys = [](const fuzz::CampaignResult& r) {
-        std::vector<std::string> out;
-        for (const auto& [key, bug] : r.bugs)
-            out.push_back(key);
-        return out;
-    };
-    return a.iterations == b.iterations &&
-           a.coverAll.branches() == b.coverAll.branches() &&
-           a.coverPass.branches() == b.coverPass.branches() &&
-           keys(a) == keys(b) && a.instanceKeys == b.instanceKeys;
 }
 
 /** Reconstruct the sequence-coverage bins a campaign explored from its
@@ -162,30 +149,23 @@ int
 main(int argc, char** argv)
 {
     using namespace nnsmith;
-    bench::BenchOptions options = bench::parseArgs(argc, argv);
-    const char* out_path = nullptr;
-    bool iters_given = false;
-    for (int i = 1; i < argc; ++i) {
-        iters_given = iters_given || std::strcmp(argv[i], "--iters") == 0;
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[i + 1];
-    }
-    if (!iters_given)
-        options.iters = 150; // bin discovery saturates well before
+    // Bin discovery saturates well before 150 iterations.
+    const bench::BenchOptions options =
+        bench::parseArgs(argc, argv, /*default_iters=*/150);
 
     std::vector<BackendRun> runs = {{"OrtLite", "ortlite", {}, {}, false},
                                     {"TVMLite", "tvmlite", {}, {}, false},
                                     {"TrtLite", "trtlite", {}, {}, false}};
     for (auto& run : runs) {
-        std::vector<fuzz::CampaignResult> results;
+        bench::IdentityMatrix matrix;
         for (const int shards : {1, 2, 4}) {
-            results.push_back(fuzz::runParallelCampaign(vennCampaign(
-                run.backend, run.component, shards, options.seed,
-                options.iters, options.workerMode)));
+            matrix.run(vennCampaign(run.backend, run.component, shards,
+                                    options.seed, options.iters,
+                                    options.workerMode),
+                       run.backend + " ");
         }
-        run.shardsIdentical = sameMerged(results[0], results[1]) &&
-                              sameMerged(results[0], results[2]);
-        run.merged = std::move(results[0]);
+        run.shardsIdentical = matrix.allIdentical();
+        run.merged = matrix.reference();
         run.bins = binsOf(run.merged);
         std::printf("%s: %zu iters, %zu distinct sequences, %zu seq "
                     "bins, %zu bugs; shards {1,2,4} identical: %s\n",
@@ -214,9 +194,11 @@ main(int argc, char** argv)
     const bool ok =
         all_nonempty && !shared_bins.empty() && all_identical;
 
-    FILE* out = out_path != nullptr ? std::fopen(out_path, "w") : stdout;
+    FILE* out = options.outPath.empty()
+                    ? stdout
+                    : std::fopen(options.outPath.c_str(), "w");
     if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", out_path);
+        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
         return 1;
     }
     std::fprintf(out, "{\n");

@@ -16,8 +16,9 @@
  *     failing subsequences.
  *
  *  3. "shard invariance": the minimizing campaign at shards 1, 2 and 4
- *     must merge byte-identically (minimization is per-iteration
- *     deterministic, so it composes with the sharded runner).
+ *     must render byte-identically (fuzz::renderCampaignResult;
+ *     minimization is per-iteration deterministic, so it composes with
+ *     the sharded runner).
  *
  *  4. "overhead": wall-clock campaign throughput with minimization off
  *     vs on, next to the committed BENCH_pass_fuzz.json campaign
@@ -139,39 +140,15 @@ audit(const fuzz::CampaignResult& result,
     return out;
 }
 
-bool
-sameMerged(const fuzz::CampaignResult& a, const fuzz::CampaignResult& b)
-{
-    auto keys = [](const fuzz::CampaignResult& r) {
-        std::vector<std::string> out;
-        for (const auto& [key, bug] : r.bugs) {
-            out.push_back(key + "#" + std::to_string(bug.originalSize) +
-                          ">" + std::to_string(bug.minimizedSize));
-        }
-        return out;
-    };
-    return a.iterations == b.iterations &&
-           a.coverAll.branches() == b.coverAll.branches() &&
-           a.coverPass.branches() == b.coverPass.branches() &&
-           keys(a) == keys(b) && a.instanceKeys == b.instanceKeys;
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
     using namespace nnsmith;
-    bench::BenchOptions options = bench::parseArgs(argc, argv);
-    const char* out_path = nullptr;
-    bool iters_given = false;
-    for (int i = 1; i < argc; ++i) {
-        iters_given = iters_given || std::strcmp(argv[i], "--iters") == 0;
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[i + 1];
-    }
-    if (!iters_given)
-        options.iters = 200; // the acceptance campaign size
+    // The acceptance campaign size: 200 iterations.
+    const bench::BenchOptions options =
+        bench::parseArgs(argc, argv, /*default_iters=*/200);
 
     auto owned = difftest::makeAllBackends();
     std::vector<backends::Backend*> backend_list;
@@ -220,8 +197,9 @@ main(int argc, char** argv)
     const auto four = fuzz::runParallelCampaign(nnsmithCampaign(
         4, options.seed, options.iters, /*minimize=*/true, "",
         options.workerMode));
-    const bool identical =
-        sameMerged(minimized, two) && sameMerged(minimized, four);
+    const std::string reference = fuzz::renderCampaignResult(minimized);
+    const bool identical = fuzz::renderCampaignResult(two) == reference &&
+                           fuzz::renderCampaignResult(four) == reference;
     std::printf("sharded minimizing campaign identical "
                 "(1 vs 2 vs 4 shards): %s\n",
                 identical ? "yes" : "NO — BUG");
@@ -237,9 +215,11 @@ main(int argc, char** argv)
                               seqs.verified == seqs.minimized;
     const bool ratios_ok = node_ratio <= 0.5 && pass_ratio <= 0.5;
 
-    FILE* out = out_path != nullptr ? std::fopen(out_path, "w") : stdout;
+    FILE* out = options.outPath.empty()
+                    ? stdout
+                    : std::fopen(options.outPath.c_str(), "w");
     if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", out_path);
+        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
         return 1;
     }
     std::fprintf(out, "{\n");

@@ -4,7 +4,8 @@
  *
  * Every bench accepts:
  *   --seed N        campaign seed (default 2023)
- *   --iters N       per-fuzzer real-iteration cap (figure benches)
+ *   --iters N       per-fuzzer real-iteration cap (each driver passes
+ *                   its own default to parseArgs)
  *   --minutes N     virtual budget in minutes (default 240, as in the
  *                   paper's 4-hour runs)
  *   --shards N      run campaigns sharded over N workers via
@@ -108,7 +109,7 @@ namespace nnsmith::bench {
 /** Parsed common CLI options. */
 struct BenchOptions {
     uint64_t seed = 2023;
-    size_t iters = 600;
+    size_t iters = 600;     ///< --iters, else the driver's default
     int minutes = 240;
     int shards = 1;
     fuzz::WorkerMode workerMode = fuzz::WorkerMode::kThread;
@@ -132,9 +133,10 @@ struct BenchOptions {
  * turns the throw into a one-line error and exit(2).
  */
 inline BenchOptions
-parseArgsOrThrow(int argc, char** argv)
+parseArgsOrThrow(int argc, char** argv, size_t default_iters = 600)
 {
     BenchOptions options;
+    options.iters = default_iters;
     for (int i = 1; i < argc; ++i) {
         auto want = [&](const char* flag) {
             if (std::strcmp(argv[i], flag) != 0)
@@ -226,12 +228,14 @@ initTelemetry(const BenchOptions& options)
 }
 
 /** Driver-facing parse: strict flags, telemetry initialized, errors
- *  reported as one line on stderr + exit(2). */
+ *  reported as one line on stderr + exit(2). @p default_iters is the
+ *  driver's --iters default (600 = the figure campaigns). */
 inline BenchOptions
-parseArgs(int argc, char** argv)
+parseArgs(int argc, char** argv, size_t default_iters = 600)
 {
     try {
-        const BenchOptions options = parseArgsOrThrow(argc, argv);
+        const BenchOptions options =
+            parseArgsOrThrow(argc, argv, default_iters);
         initTelemetry(options);
         return options;
     } catch (const FatalError& error) {
@@ -262,7 +266,6 @@ makeFuzzer(const std::string& name, uint64_t seed, size_t batch = 1)
     if (name == "NNSmith") {
         fuzz::NNSmithFuzzer::Options options;
         options.generator.targetOpNodes = 10; // §5.1 default size
-        options.search.timeBudgetMs = 8.0;
         options.batch = batch;
         return std::make_unique<fuzz::NNSmithFuzzer>(options, seed);
     }

@@ -20,7 +20,6 @@ runBinning(const nnsmith::bench::SystemUnderTest& sut,
     nnsmith::fuzz::NNSmithFuzzer::Options fopts;
     fopts.generator.targetOpNodes = 10;
     fopts.generator.enableBinning = binning;
-    fopts.search.timeBudgetMs = 8.0;
     nnsmith::fuzz::NNSmithFuzzer fuzzer(fopts, options.seed);
     nnsmith::fuzz::CampaignConfig config;
     config.virtualBudget =

@@ -32,7 +32,6 @@ main(int argc, char** argv)
         backend_list.push_back(b.get());
     nnsmith::fuzz::NNSmithFuzzer::Options fopts;
     fopts.generator.targetOpNodes = 10;
-    fopts.search.timeBudgetMs = 8.0;
     nnsmith::fuzz::NNSmithFuzzer fuzzer(fopts, options.seed);
     nnsmith::fuzz::CampaignConfig config;
     // The bug hunt is iteration-bounded (the paper's bugs accumulated

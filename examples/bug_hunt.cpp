@@ -29,7 +29,6 @@ main(int argc, char** argv)
 
     fuzz::NNSmithFuzzer::Options options;
     options.generator.targetOpNodes = 10;
-    options.search.timeBudgetMs = 8.0;
     fuzz::NNSmithFuzzer fuzzer(options, seed);
 
     fuzz::CampaignConfig config;

@@ -5,7 +5,8 @@
 #   scripts/check.sh --fast     # skip the strict build
 #   scripts/check.sh --sanitize # the ASan+UBSan build + ctest (own CI job)
 #
-# Mirrors .github/workflows/ci.yml so CI failures reproduce locally.
+# CI (.github/workflows/ci.yml) runs exactly this script, so CI failures
+# reproduce locally by construction.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -44,6 +45,16 @@ if ! ls build/repro-smoke/*.repro.txt >/dev/null 2>&1; then
     echo "check.sh: --report-dir produced no .repro.txt report"
     exit 1
 fi
+test -s build/repro-smoke/index.tsv
+
+echo "== parallel probe: scaling + identity across the worker matrix =="
+# Exits nonzero unless every {thread, process} x shards {1, 2, 4} cell
+# renders byte-identically (fuzz::renderCampaignResult) — with the
+# value search on.
+./build/bench/bench_parallel --iters 100
+
+echo "== pass fuzz probe: sequence bins grow, shards merge identically =="
+./build/bench/bench_pass_fuzz --iters 200
 
 echo "== pass venn probe: three-backend pass fuzzing, shards {1,2,4} =="
 # Exits nonzero unless every backend's sequence bins are nonempty, the

@@ -70,8 +70,9 @@ struct CampaignConfig {
      * chooses — from its own iteration seed, never shared state —
      * between fresh sampling and mutating a corpus entry. Composes
      * with minimize/reportDir/any worker mode, preserving the
-     * byte-identical merge guarantee. The serial runCampaign ignores
-     * this flag; construct a CorpusGuidedFuzzer directly instead.
+     * byte-identical merge guarantee. The serial runCampaign rejects
+     * this flag (fatal); construct a CorpusGuidedFuzzer directly
+     * instead.
      */
     bool corpusGuided = false;
 };
@@ -120,8 +121,8 @@ struct CampaignResult {
 
     /**
      * Worker-fabric telemetry from sharded runs (empty for the serial
-     * driver and thread workers that never fault). Deliberately
-     * excluded from result comparisons: two runs that merged the same
+     * driver and thread workers that never fault). Deliberately left
+     * out of renderCampaignResult: two runs that merged the same
      * records are the same campaign even if one needed respawns.
      */
     std::vector<WorkerFault> workerFaults;
@@ -129,10 +130,24 @@ struct CampaignResult {
     size_t respawns = 0;
 };
 
-/** Run @p fuzzer for the configured budget. Resets coverage hits. */
+/** Run @p fuzzer for the configured budget. Resets coverage hits.
+ *  Throws FatalError when config.corpusGuided is set. */
 CampaignResult runCampaign(Fuzzer& fuzzer,
                            const std::vector<backends::Backend*>& backends,
                            const CampaignConfig& config);
+
+/**
+ * Canonical text of every field of @p result except the telemetry-only
+ * workerFaults / respawns: counters, the series, coverage as sorted
+ * site keys, instance keys, defects, every bug as its wire document
+ * (wire::encodeBug) in dedup-key order, and the regressions table
+ * (corpus::renderRegressions). Two campaigns are *identical* when
+ * these texts are byte-equal — plus their report trees when a
+ * reportDir is set. Graph repros re-run the ONNX export, so the
+ * rendering runs under its own CoverageCollector and defect-trace
+ * scope: call it with no collector active on the thread.
+ */
+std::string renderCampaignResult(const CampaignResult& result);
 
 } // namespace nnsmith::fuzz
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "corpus/replay.h"
+#include "fuzz/campaign_loop.h"
 #include "fuzz/mutator.h"
 #include "fuzz/wire.h"
 #include "fuzz/worker_runtime.h"
@@ -49,71 +50,46 @@ mergeShardResults(const std::vector<ShardResult>& shards,
         }
     }
 
+    // Replay the records through the campaign loop runCampaign drives,
+    // with coverage counted from the per-iteration hit deltas instead
+    // of the global registry bits. Records arrive in wire format
+    // regardless of the worker runtime: hit site keys are interned
+    // into *this* process's registry and bug documents parsed back
+    // through the corpus machinery, so thread and process shards merge
+    // identically.
     auto& registry = CoverageRegistry::instance();
     CampaignResult result;
     result.fuzzer = fuzzer_name;
-    VirtualClock clock;
-    double next_sample = 0.0;
-
-    // Replay mirrors runCampaign: same sampling cadence, same budget
-    // and iteration-cap checks, same converged-plateau fast-forward —
-    // but coverage counts come from the per-iteration hit deltas
-    // instead of the global registry bits. Records arrive in wire
-    // format regardless of the worker runtime: hit site keys are
-    // interned into *this* process's registry and bug documents parsed
-    // back through the corpus machinery, so thread and process shards
-    // merge identically.
-    auto take_sample = [&]() {
-        CampaignPoint point;
-        point.minutes = clock.minutes();
-        point.iterations = result.iterations;
-        point.coverageAll = result.coverAll.count();
-        point.coveragePass = result.coverPass.count();
-        result.series.push_back(point);
+    CampaignLoop loop(result, config, [&result] {
+        return std::make_pair(result.coverAll.count(),
+                              result.coverPass.count());
+    });
+    auto add_filtered = [&](coverage::CoverageMap& into,
+                            const std::vector<coverage::BranchId>& ids,
+                            bool pass_only) {
+        const auto kept =
+            registry.filterIds(ids, config.coverageComponent, pass_only);
+        for (const auto id : kept.branches())
+            into.add(id);
     };
-    take_sample();
-    next_sample = config.sampleEveryMinutes;
-
-    for (size_t index = 0; index < end; ++index) {
-        if (clock.now() >= config.virtualBudget ||
-            result.iterations >= config.maxIterations)
-            break; // speculative records past the cutoff are discarded
-        const auto* record = by_index[index];
-        if (record == nullptr)
-            break; // a shard stopped here; nothing later can count
-        ++result.iterations;
-        result.produced += record->produced ? 1 : 0;
-        clock.advance(std::max<VirtualMs>(record->cost, 1));
-        for (const auto& encoded : record->bugs) {
-            BugRecord bug = wire::decodeBug(encoded);
-            for (const auto& defect : bug.defects)
-                result.defectsFound.insert(defect);
-            result.bugs.emplace(bug.dedupKey, std::move(bug));
-        }
-        for (const auto& key : record->instanceKeys)
-            result.instanceKeys.insert(key);
-        const auto ids = wire::hitsFromWire(record->hits);
-        result.coverAll = result.coverAll.unionWith(
-            registry.filterIds(ids, config.coverageComponent, false));
-        result.coverPass = result.coverPass.unionWith(
-            registry.filterIds(ids, config.coverageComponent, true));
-        while (clock.minutes() >= next_sample) {
-            take_sample();
-            result.series.back().minutes = next_sample;
-            next_sample += config.sampleEveryMinutes;
-        }
+    // Speculative records past the budget cutoff are discarded; a
+    // missing record means a shard stopped there, so nothing later
+    // can count.
+    for (size_t index = 0;
+         index < end && by_index[index] != nullptr && loop.admits();
+         ++index) {
+        const auto& record = *by_index[index];
+        const auto ids = wire::hitsFromWire(record.hits);
+        add_filtered(result.coverAll, ids, false);
+        add_filtered(result.coverPass, ids, true);
+        std::vector<BugRecord> bugs;
+        bugs.reserve(record.bugs.size());
+        for (const auto& encoded : record.bugs)
+            bugs.push_back(wire::decodeBug(encoded));
+        loop.add(record.cost, record.produced, std::move(bugs),
+                 record.instanceKeys);
     }
-    result.activeTime = clock.now();
-    while (clock.now() < config.virtualBudget &&
-           result.series.size() < 4096) {
-        clock.advance(
-            static_cast<VirtualMs>(config.sampleEveryMinutes) * 60 * 1000);
-        take_sample();
-        result.series.back().minutes = next_sample;
-        next_sample += config.sampleEveryMinutes;
-    }
-    take_sample();
-    result.virtualTime = clock.now();
+    loop.finish();
     return result;
 }
 

@@ -171,11 +171,12 @@ uint64_t deriveIterationSeed(uint64_t master_seed, uint64_t index);
 /**
  * Merge shard results into one CampaignResult by replaying the
  * iteration records in global index order under @p config's virtual
- * budget, iteration cap and sampling cadence (mirroring runCampaign's
- * loop exactly). Consumes only the wire format: hit keys are interned
- * into this process's coverage registry and bug documents parsed back
- * through the corpus machinery, so records from forked workers and
- * records from sibling threads merge identically. Order-independent:
+ * budget, iteration cap and sampling cadence — the campaign loop
+ * runCampaign drives, fed with records instead of live iterations.
+ * Consumes only the wire format: hit keys are interned into this
+ * process's coverage registry and bug documents parsed back through
+ * the corpus machinery, so records from forked workers and records
+ * from sibling threads merge identically. Order-independent:
  * any permutation of @p shards yields the same result. @p fuzzer_name
  * labels the result. Throws corpus::ParseError on a malformed record
  * payload.

@@ -246,7 +246,7 @@ TEST(BatchedExec, FuzzerSweepOutcomeMatchesSequentialLanes)
     const auto outcomes = [&raw](bool sweep) {
         fuzz::NNSmithFuzzer::Options options;
         options.generator.targetOpNodes = 8;
-        options.runValueSearch = false; // wall-clock-budgeted → not seed-pure
+        options.runValueSearch = false;
         options.batch = 4;
         options.batchSweep = sweep;
         fuzz::NNSmithFuzzer fuzzer(options, 99);

@@ -1,8 +1,10 @@
 /** Tests for the sharded parallel campaign runner: shard-count
- *  invariance, merge order-independence, scheduling determinism, and
- *  shard-invariant regression-corpus replay. */
+ *  invariance, merge order-independence, scheduling determinism,
+ *  shard-invariant regression-corpus replay, serial-vs-sharded
+ *  identity of the one campaign loop, and the canonical rendering. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -11,6 +13,7 @@
 #include "fuzz/parallel_campaign.h"
 #include "fuzz/pass_fuzzer.h"
 #include "fuzz/wire.h"
+#include "support/logging.h"
 
 namespace nnsmith {
 namespace {
@@ -18,6 +21,7 @@ namespace {
 using fuzz::CampaignConfig;
 using fuzz::CampaignResult;
 using fuzz::ParallelCampaignConfig;
+using fuzz::renderCampaignResult;
 using fuzz::ShardResult;
 
 ParallelCampaignConfig
@@ -44,51 +48,20 @@ testConfig(int shards, uint64_t master_seed)
     return config;
 }
 
-std::set<std::string>
-bugKeys(const CampaignResult& result)
-{
-    std::set<std::string> keys;
-    for (const auto& [key, bug] : result.bugs)
-        keys.insert(key);
-    return keys;
-}
-
-void
-expectIdentical(const CampaignResult& a, const CampaignResult& b)
-{
-    EXPECT_EQ(a.fuzzer, b.fuzzer);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.produced, b.produced);
-    EXPECT_EQ(a.virtualTime, b.virtualTime);
-    EXPECT_EQ(a.activeTime, b.activeTime);
-    EXPECT_EQ(a.coverAll.branches(), b.coverAll.branches());
-    EXPECT_EQ(a.coverPass.branches(), b.coverPass.branches());
-    EXPECT_EQ(bugKeys(a), bugKeys(b));
-    EXPECT_EQ(a.instanceKeys, b.instanceKeys);
-    EXPECT_EQ(a.defectsFound, b.defectsFound);
-    ASSERT_EQ(a.series.size(), b.series.size());
-    for (size_t i = 0; i < a.series.size(); ++i) {
-        EXPECT_EQ(a.series[i].minutes, b.series[i].minutes);
-        EXPECT_EQ(a.series[i].iterations, b.series[i].iterations);
-        EXPECT_EQ(a.series[i].coverageAll, b.series[i].coverageAll);
-        EXPECT_EQ(a.series[i].coveragePass, b.series[i].coveragePass);
-    }
-}
-
 TEST(ParallelCampaign, ShardCountDoesNotChangeMergedResult)
 {
     const auto serial = fuzz::runParallelCampaign(testConfig(1, 2023));
     const auto sharded = fuzz::runParallelCampaign(testConfig(4, 2023));
     EXPECT_GT(serial.iterations, 0u);
     EXPECT_GT(serial.coverAll.count(), 0u);
-    expectIdentical(serial, sharded);
+    EXPECT_EQ(renderCampaignResult(serial), renderCampaignResult(sharded));
 }
 
 TEST(ParallelCampaign, RepeatedShardedRunsAreDeterministic)
 {
     const auto first = fuzz::runParallelCampaign(testConfig(4, 77));
     const auto second = fuzz::runParallelCampaign(testConfig(4, 77));
-    expectIdentical(first, second);
+    EXPECT_EQ(renderCampaignResult(first), renderCampaignResult(second));
 }
 
 TEST(ParallelCampaign, BlockSizeDoesNotChangeMergedResult)
@@ -97,8 +70,8 @@ TEST(ParallelCampaign, BlockSizeDoesNotChangeMergedResult)
     small_blocks.blockIterations = 2;
     auto large_blocks = testConfig(3, 5);
     large_blocks.blockIterations = 64;
-    expectIdentical(fuzz::runParallelCampaign(small_blocks),
-                    fuzz::runParallelCampaign(large_blocks));
+    EXPECT_EQ(renderCampaignResult(fuzz::runParallelCampaign(small_blocks)),
+              renderCampaignResult(fuzz::runParallelCampaign(large_blocks)));
 }
 
 TEST(ParallelCampaign, DifferentSeedsDiverge)
@@ -151,11 +124,11 @@ TEST(ParallelCampaign, MergeIsOrderIndependent)
     const auto forward = mergeShardResults(shards, config, "synthetic");
     std::vector<ShardResult> reversed = {shards[2], shards[0], shards[1]};
     const auto shuffled = mergeShardResults(reversed, config, "synthetic");
-    expectIdentical(forward, shuffled);
+    EXPECT_EQ(renderCampaignResult(forward), renderCampaignResult(shuffled));
     EXPECT_EQ(forward.iterations, 9u);
     EXPECT_EQ(forward.coverAll.count(), 6u);
     EXPECT_EQ(forward.coverPass.count(), 3u);
-    EXPECT_EQ(bugKeys(forward).size(), 4u);
+    EXPECT_EQ(forward.bugs.size(), 4u);
     EXPECT_EQ(forward.instanceKeys.size(), 5u);
 }
 
@@ -220,7 +193,7 @@ TEST(ParallelCampaign, PassSequenceFuzzerIsShardInvariant)
     const auto sharded = fuzz::runParallelCampaign(make(4));
     EXPECT_GT(serial.coverPass.count(), 0u);
     EXPECT_FALSE(serial.instanceKeys.empty()); // tirseq/... keys
-    expectIdentical(serial, sharded);
+    EXPECT_EQ(renderCampaignResult(serial), renderCampaignResult(sharded));
 }
 
 TEST(ParallelCampaign, PassFuzzedTvmLiteIsShardInvariant)
@@ -243,7 +216,7 @@ TEST(ParallelCampaign, PassFuzzedTvmLiteIsShardInvariant)
     const auto serial = fuzz::runParallelCampaign(make(1));
     const auto sharded = fuzz::runParallelCampaign(make(3));
     EXPECT_GT(serial.coverAll.count(), 0u);
-    expectIdentical(serial, sharded);
+    EXPECT_EQ(renderCampaignResult(serial), renderCampaignResult(sharded));
 }
 
 /** PassSequenceFuzzer in graph mode: the backend under test is its
@@ -285,8 +258,8 @@ TEST(ParallelCampaign, OrtLitePassFuzzIsShardInvariant)
         graphPassFuzzConfig("OrtLite", "ortlite", 4, 2023));
     EXPECT_GT(serial.coverPass.count(), 0u); // ortlite/pass/seq bins
     EXPECT_FALSE(serial.instanceKeys.empty()); // passseq/OrtLite/...
-    expectIdentical(serial, two);
-    expectIdentical(serial, four);
+    EXPECT_EQ(renderCampaignResult(serial), renderCampaignResult(two));
+    EXPECT_EQ(renderCampaignResult(serial), renderCampaignResult(four));
 }
 
 TEST(ParallelCampaign, TrtLitePassFuzzIsShardInvariant)
@@ -299,8 +272,8 @@ TEST(ParallelCampaign, TrtLitePassFuzzIsShardInvariant)
         graphPassFuzzConfig("TrtLite", "trtlite", 4, 2023));
     EXPECT_GT(serial.coverPass.count(), 0u); // trtlite/pass/seq bins
     EXPECT_FALSE(serial.instanceKeys.empty());
-    expectIdentical(serial, two);
-    expectIdentical(serial, four);
+    EXPECT_EQ(renderCampaignResult(serial), renderCampaignResult(two));
+    EXPECT_EQ(renderCampaignResult(serial), renderCampaignResult(four));
 }
 
 TEST(ParallelCampaign, GraphPassFuzzCorpusReplayIsShardInvariant)
@@ -343,8 +316,10 @@ TEST(ParallelCampaign, GraphPassFuzzCorpusReplayIsShardInvariant)
         EXPECT_EQ(result.regressions.stillFires,
                   result.regressions.total());
     }
-    expectIdentical(results[0], results[1]);
-    expectIdentical(results[0], results[2]);
+    EXPECT_EQ(renderCampaignResult(results[0]),
+              renderCampaignResult(results[1]));
+    EXPECT_EQ(renderCampaignResult(results[0]),
+              renderCampaignResult(results[2]));
     std::filesystem::remove_all(dir);
 }
 
@@ -389,8 +364,10 @@ TEST(ParallelCampaign, CorpusReplayIsShardInvariant)
         EXPECT_EQ(result.regressions.stillFires,
                   result.regressions.total());
     }
-    expectIdentical(results[0], results[1]);
-    expectIdentical(results[0], results[2]);
+    EXPECT_EQ(renderCampaignResult(results[0]),
+              renderCampaignResult(results[1]));
+    EXPECT_EQ(renderCampaignResult(results[0]),
+              renderCampaignResult(results[2]));
     std::filesystem::remove_all(dir);
 }
 
@@ -434,7 +411,8 @@ TEST(ParallelCampaign, CorpusGuidedIsShardAndWorkerModeInvariant)
     }
     ASSERT_FALSE(tsvs[0].empty());
     for (size_t i = 1; i < results.size(); ++i) {
-        expectIdentical(results[0], results[i]);
+        EXPECT_EQ(renderCampaignResult(results[0]),
+                  renderCampaignResult(results[i]));
         EXPECT_EQ(tsvs[0], tsvs[i]);
     }
     EXPECT_EQ(results[0].fuzzer, "NNSmith+corpus");
@@ -447,6 +425,111 @@ TEST(ParallelCampaign, CorpusGuidedIsShardAndWorkerModeInvariant)
     const auto baseline = fuzz::runParallelCampaign(unguided);
     EXPECT_NE(results[0].instanceKeys, baseline.instanceKeys);
     std::filesystem::remove_all(dir);
+}
+
+/** Runs the factory's per-iteration fuzzers in seed-stream order, so
+ *  the serial runCampaign executes the iterations the sharded runner
+ *  executes. */
+class SeedStreamFuzzer : public fuzz::Fuzzer {
+  public:
+    SeedStreamFuzzer(fuzz::FuzzerFactory factory, uint64_t master_seed)
+        : factory_(std::move(factory)), masterSeed_(master_seed)
+    {
+    }
+
+    std::string name() const override
+    {
+        return factory_(fuzz::deriveIterationSeed(masterSeed_, 0))->name();
+    }
+
+    fuzz::IterationOutcome
+    iterate(const std::vector<backends::Backend*>& backend_list) override
+    {
+        const uint64_t seed = fuzz::deriveIterationSeed(masterSeed_, next_++);
+        return factory_(seed)->iterate(backend_list);
+    }
+
+  private:
+    fuzz::FuzzerFactory factory_;
+    uint64_t masterSeed_;
+    uint64_t next_ = 0;
+};
+
+TEST(ParallelCampaign, SerialAndShardedCampaignsRenderIdentically)
+{
+    // runCampaign and mergeShardResults drive one campaign loop: fed
+    // the same iterations, with minimization on, the serial driver and
+    // the sharded runner must produce byte-identical results.
+    auto config = testConfig(1, 2023);
+    config.campaign.minimize = true;
+    auto owned = config.backendFactory();
+    std::vector<backends::Backend*> backend_list;
+    for (auto& backend : owned)
+        backend_list.push_back(backend.get());
+    SeedStreamFuzzer fuzzer(config.fuzzerFactory, config.masterSeed);
+    const auto serial =
+        fuzz::runCampaign(fuzzer, backend_list, config.campaign);
+    EXPECT_FALSE(serial.bugs.empty());
+    const std::string text = renderCampaignResult(serial);
+    for (const int shards : {1, 4}) {
+        config.shards = shards;
+        EXPECT_EQ(renderCampaignResult(fuzz::runParallelCampaign(config)),
+                  text)
+            << "shards=" << shards;
+    }
+}
+
+TEST(ParallelCampaign, SerialRunCampaignRejectsCorpusGuided)
+{
+    auto config = testConfig(1, 2023);
+    config.campaign.corpusGuided = true;
+    SeedStreamFuzzer fuzzer(config.fuzzerFactory, config.masterSeed);
+    EXPECT_THROW(fuzz::runCampaign(fuzzer, {}, config.campaign),
+                 FatalError);
+}
+
+TEST(ParallelCampaign, RenderingCoversEveryFieldButTelemetry)
+{
+    auto config = testConfig(2, 2023);
+    config.campaign.minimize = true;
+    const auto result = fuzz::runParallelCampaign(config);
+    const std::string text = renderCampaignResult(result);
+    const auto with_leaves = std::find_if(
+        result.bugs.begin(), result.bugs.end(), [](const auto& entry) {
+            const auto& repro = entry.second.graphRepro;
+            return repro != nullptr && !repro->leaves.empty() &&
+                   repro->leaves.begin()->second.numel() > 0;
+        });
+    ASSERT_NE(with_leaves, result.bugs.end());
+    const std::string key = with_leaves->first;
+
+    auto leaf = result;
+    auto repro =
+        std::make_shared<fuzz::GraphRepro>(*leaf.bugs[key].graphRepro);
+    auto& tensor = repro->leaves.begin()->second;
+    tensor.setScalar(0, tensor.scalarAt(0) == 0.0 ? 1.0 : 0.0);
+    leaf.bugs[key].graphRepro = repro;
+    EXPECT_NE(renderCampaignResult(leaf), text);
+
+    auto detail = result;
+    detail.bugs[key].detail += " (edited)";
+    EXPECT_NE(renderCampaignResult(detail), text);
+
+    auto series = result;
+    ASSERT_GT(series.series.size(), 1u);
+    ++series.series[1].coverageAll;
+    EXPECT_NE(renderCampaignResult(series), text);
+
+    auto time = result;
+    ++time.virtualTime;
+    EXPECT_NE(renderCampaignResult(time), text);
+
+    // Fabric telemetry describes the run, not the result.
+    auto telemetry = result;
+    telemetry.workerFaults.push_back(
+        fuzz::WorkerFault{1, 0, 16, "crash", "", 0});
+    telemetry.respawns = 1;
+    EXPECT_EQ(renderCampaignResult(telemetry), text);
 }
 
 TEST(ParallelCampaign, SeedDerivationIsStableAndSpreads)
