@@ -85,25 +85,25 @@ runCampaignScore(uint64_t seed, size_t iters)
     // and wall-clock time measures execution speed.
     options.search.timeBudgetMs = 1e12;
     options.search.maxIterations = 32;
-    fuzz::NNSmithFuzzer fuzzer(options, seed);
 
-    auto owned = difftest::makeAllBackends();
-    std::vector<backends::Backend*> backend_list;
-    for (auto& b : owned)
-        backend_list.push_back(b.get());
-
-    fuzz::CampaignConfig config;
+    fuzz::ParallelCampaignConfig config;
     // The fig4-style 240 virtual minutes comfortably exceed the
     // iteration cap's virtual cost, so maxIterations binds; keeping the
-    // budget modest also keeps the converged-plateau sampling loop
-    // (campaign.cpp) cheap.
-    config.virtualBudget = 240ll * 60 * 1000;
-    config.maxIterations = iters;
-    config.coverageComponent = "ortlite";
-    config.sampleEveryMinutes = 10;
+    // budget modest also keeps the merge's converged-plateau sampling
+    // cheap.
+    config.campaign.virtualBudget = 240ll * 60 * 1000;
+    config.campaign.maxIterations = iters;
+    config.campaign.coverageComponent = "ortlite";
+    config.campaign.sampleEveryMinutes = 10;
+    config.masterSeed = seed;
+    config.fuzzerFactory = [options](uint64_t iteration_seed) {
+        return std::make_unique<fuzz::NNSmithFuzzer>(options,
+                                                     iteration_seed);
+    };
+    config.backendFactory = difftest::makeAllBackends;
 
     const auto start = Clock::now();
-    const auto result = fuzz::runCampaign(fuzzer, backend_list, config);
+    const auto result = fuzz::runParallelCampaign(config);
     CampaignScore score;
     score.seconds = secondsSince(start);
     score.iterations = result.iterations;

@@ -104,22 +104,25 @@ campaignItersPerSec(uint64_t seed, size_t iters)
         "ReduceMax", "ReduceMin", "ReduceProd", "ArgMax",  "ArgMin"};
     options.search.timeBudgetMs = 1e12;
     options.search.maxIterations = 32;
-    fuzz::NNSmithFuzzer fuzzer(options, seed);
 
-    auto owned = difftest::makeAllBackends();
-    owned[1] = backends::makeTvmLite(/*pass_fuzz_seed=*/seed | 1);
-    std::vector<backends::Backend*> backend_list;
-    for (auto& b : owned)
-        backend_list.push_back(b.get());
-
-    fuzz::CampaignConfig config;
-    config.virtualBudget = 240ll * 60 * 1000;
-    config.maxIterations = iters;
-    config.coverageComponent = "tvmlite";
-    config.sampleEveryMinutes = 10;
+    fuzz::ParallelCampaignConfig config;
+    config.campaign.virtualBudget = 240ll * 60 * 1000;
+    config.campaign.maxIterations = iters;
+    config.campaign.coverageComponent = "tvmlite";
+    config.campaign.sampleEveryMinutes = 10;
+    config.masterSeed = seed;
+    config.fuzzerFactory = [options](uint64_t iteration_seed) {
+        return std::make_unique<fuzz::NNSmithFuzzer>(options,
+                                                     iteration_seed);
+    };
+    config.backendFactory = [seed] {
+        auto owned = difftest::makeAllBackends();
+        owned[1] = backends::makeTvmLite(/*pass_fuzz_seed=*/seed | 1);
+        return owned;
+    };
 
     const auto start = Clock::now();
-    const auto result = fuzz::runCampaign(fuzzer, backend_list, config);
+    const auto result = fuzz::runParallelCampaign(config);
     const double seconds = secondsSince(start);
     std::printf("campaign (pass-fuzz TVMLite): %zu iters in %.3fs "
                 "(%.3f iters/sec), %zu bugs, coverage %zu\n",

@@ -12,7 +12,7 @@
  *                   fuzz/parallel_campaign.h (default 1; the merged
  *                   results are byte-identical for any N, so --shards
  *                   only changes wall-clock time; Tzer is stateful
- *                   across iterations and always runs serially)
+ *                   across iterations and always runs as one shard)
  *   --workers N     alias of --shards (the campaign-fabric spelling)
  *   --worker-mode M how the workers execute (fuzz/worker_runtime.h):
  *                   "thread" (default; std::thread per shard) or
@@ -257,7 +257,28 @@ coverageSystems()
     return {{"ONNXRuntime", "ortlite", 0}, {"TVM", "tvmlite", 1}};
 }
 
-/** Make the standard fuzzer by name with figure-default options.
+/** Backend factory building one private instance of @p sut's backend;
+ *  a nonzero @p pass_fuzz_seed puts every backend's optimizer in
+ *  pass-fuzz mode (--pass-fuzz). */
+inline fuzz::BackendFactory
+sutBackends(const SystemUnderTest& sut, uint64_t pass_fuzz_seed = 0)
+{
+    return [index = static_cast<size_t>(sut.backendIndex),
+            pass_fuzz_seed] {
+        auto owned = difftest::makeAllBackends();
+        if (pass_fuzz_seed != 0) {
+            owned[0] = backends::makeOrtLite(pass_fuzz_seed);
+            owned[1] = backends::makeTvmLite(pass_fuzz_seed);
+            owned[2] = backends::makeTrtLite(pass_fuzz_seed);
+        }
+        std::vector<std::unique_ptr<backends::Backend>> picked;
+        picked.push_back(std::move(owned[index]));
+        return picked;
+    };
+}
+
+/** Make the standard iteration-independent fuzzer by name with
+ *  figure-default options (Tzer is stateful: baselines::tzerFactory).
  *  @p batch only affects NNSmith (input lanes per generated graph);
  *  the baselines have no batched path and ignore it. */
 inline std::unique_ptr<fuzz::Fuzzer>
@@ -276,20 +297,19 @@ makeFuzzer(const std::string& name, uint64_t seed, size_t batch = 1)
     }
     if (name == "LEMON")
         return std::make_unique<baselines::LemonFuzzer>(seed);
-    if (name == "Tzer")
-        return std::make_unique<baselines::TzerFuzzer>(seed);
     fatal("unknown fuzzer " + name);
 }
 
-/** Run one fuzzer against one system under test. Iteration-independent
- *  fuzzers always go through the sharded runner — even at --shards 1 —
- *  so the figures are byte-identical for any shard count (Tzer's
- *  mutation corpus forces it onto the serial driver). */
+/** Run one fuzzer against one system under test on the campaign
+ *  fabric. The figures are byte-identical for any shard count; Tzer
+ *  keeps a mutation corpus across iterations, so it always runs as
+ *  one in-order shard. */
 inline fuzz::CampaignResult
 runOne(const std::string& fuzzer_name, const SystemUnderTest& sut,
        const BenchOptions& options, size_t iter_cap)
 {
-    fuzz::CampaignConfig config;
+    fuzz::ParallelCampaignConfig parallel;
+    fuzz::CampaignConfig& config = parallel.campaign;
     config.virtualBudget =
         static_cast<VirtualMs>(options.minutes) * 60 * 1000;
     config.maxIterations = iter_cap;
@@ -299,49 +319,28 @@ runOne(const std::string& fuzzer_name, const SystemUnderTest& sut,
     config.reportDir = options.reportDir;
     config.corpusDir = options.corpusDir;
     config.corpusGuided = options.corpusGuided;
-    if (fuzzer_name != "Tzer") {
-        fuzz::ParallelCampaignConfig parallel;
-        parallel.campaign = config;
-        parallel.shards = options.shards;
-        parallel.workerMode = options.workerMode;
-        parallel.masterSeed = options.seed;
-        // Telemetry (metrics frames, progress aggregator) attaches
-        // inside runParallelCampaign from the process-global flags
-        // initTelemetry set — inert either way.
-        parallel.fuzzerFactory = [fuzzer_name,
-                                  batch = options.batch](uint64_t seed) {
-            return makeFuzzer(fuzzer_name, seed, batch);
-        };
-        parallel.backendFactory =
-            [index = static_cast<size_t>(sut.backendIndex),
-             pass_fuzz = options.passFuzz, seed = options.seed]() {
-                auto owned = difftest::makeAllBackends();
-                if (pass_fuzz) {
-                    owned[0] = backends::makeOrtLite(
-                        /*pass_fuzz_seed=*/seed | 1);
-                    owned[1] = backends::makeTvmLite(
-                        /*pass_fuzz_seed=*/seed | 1);
-                    owned[2] = backends::makeTrtLite(
-                        /*pass_fuzz_seed=*/seed | 1);
-                }
-                std::vector<std::unique_ptr<backends::Backend>> picked;
-                picked.push_back(std::move(owned[index]));
-                return picked;
-            };
-        return fuzz::runParallelCampaign(parallel);
+    parallel.shards = options.shards;
+    parallel.workerMode = options.workerMode;
+    parallel.masterSeed = options.seed;
+    // Telemetry (metrics frames, progress aggregator) attaches inside
+    // runParallelCampaign from the process-global flags initTelemetry
+    // set — inert either way.
+    parallel.fuzzerFactory = [fuzzer_name,
+                              batch = options.batch](uint64_t seed) {
+        return makeFuzzer(fuzzer_name, seed, batch);
+    };
+    if (fuzzer_name == "Tzer") {
+        // Tzer fuzzes TIR programs, not graphs: it has no graph repros
+        // to replay or mutate, so --corpus and --corpus-guided are
+        // no-ops for it.
+        parallel.shards = 1;
+        parallel.fuzzerFactory = baselines::tzerFactory(options.seed);
+        config.corpusDir.clear();
+        config.corpusGuided = false;
     }
-    // Only Tzer reaches the serial driver. It needs no backend (it
-    // feeds TIR straight into the passes), but constructing the
-    // backends still registers their coverage sites and declared
-    // totals, which the figure footers rely on. Replaying graph
-    // repros against that empty backend list would misclassify every
-    // known bug as fixed (and clobber regressions.tsv written by the
-    // sibling campaigns), so --corpus is a no-op on this path.
-    config.corpusDir.clear();
-    config.corpusGuided = false;
-    auto owned = difftest::makeAllBackends();
-    auto fuzzer = makeFuzzer(fuzzer_name, options.seed);
-    return fuzz::runCampaign(*fuzzer, /*backends=*/{}, config);
+    parallel.backendFactory =
+        sutBackends(sut, options.passFuzz ? options.seed | 1 : 0);
+    return fuzz::runParallelCampaign(parallel);
 }
 
 /** Per-fuzzer iteration caps (LEMON's virtual cost bounds it anyway). */

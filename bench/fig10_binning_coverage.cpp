@@ -14,20 +14,22 @@ nnsmith::fuzz::CampaignResult
 runBinning(const nnsmith::bench::SystemUnderTest& sut,
            const nnsmith::bench::BenchOptions& options, bool binning)
 {
-    auto owned = nnsmith::difftest::makeAllBackends();
-    std::vector<nnsmith::backends::Backend*> backend_list = {
-        owned[static_cast<size_t>(sut.backendIndex)].get()};
-    nnsmith::fuzz::NNSmithFuzzer::Options fopts;
-    fopts.generator.targetOpNodes = 10;
-    fopts.generator.enableBinning = binning;
-    nnsmith::fuzz::NNSmithFuzzer fuzzer(fopts, options.seed);
-    nnsmith::fuzz::CampaignConfig config;
-    config.virtualBudget =
+    nnsmith::fuzz::ParallelCampaignConfig parallel;
+    parallel.campaign.virtualBudget =
         static_cast<nnsmith::VirtualMs>(options.minutes) * 60 * 1000;
-    config.maxIterations = options.iters;
-    config.coverageComponent = sut.component;
-    auto result =
-        nnsmith::fuzz::runCampaign(fuzzer, backend_list, config);
+    parallel.campaign.maxIterations = options.iters;
+    parallel.campaign.coverageComponent = sut.component;
+    parallel.shards = options.shards;
+    parallel.workerMode = options.workerMode;
+    parallel.masterSeed = options.seed;
+    parallel.fuzzerFactory = [binning](uint64_t seed) {
+        nnsmith::fuzz::NNSmithFuzzer::Options fopts;
+        fopts.generator.targetOpNodes = 10;
+        fopts.generator.enableBinning = binning;
+        return std::make_unique<nnsmith::fuzz::NNSmithFuzzer>(fopts, seed);
+    };
+    parallel.backendFactory = nnsmith::bench::sutBackends(sut);
+    auto result = nnsmith::fuzz::runParallelCampaign(parallel);
     result.fuzzer = binning ? "w/ binning" : "no binning";
     return result;
 }

@@ -26,23 +26,23 @@ main(int argc, char** argv)
     std::printf("== Table 3: bug distribution ==\n");
 
     // ---- long NNSmith campaign over all backends ----------------------
-    auto owned = nnsmith::difftest::makeAllBackends();
-    std::vector<nnsmith::backends::Backend*> backend_list;
-    for (const auto& b : owned)
-        backend_list.push_back(b.get());
-    nnsmith::fuzz::NNSmithFuzzer::Options fopts;
-    fopts.generator.targetOpNodes = 10;
-    nnsmith::fuzz::NNSmithFuzzer fuzzer(fopts, options.seed);
-    nnsmith::fuzz::CampaignConfig config;
+    nnsmith::fuzz::ParallelCampaignConfig parallel;
     // The bug hunt is iteration-bounded (the paper's bugs accumulated
     // over months, not one 4-hour window); give it a week of virtual
     // time so the iteration cap is what stops it.
-    config.virtualBudget = 7ll * 24 * 60 * 60 * 1000;
-    config.maxIterations = iters;
-    config.coverageComponent = "";
-    config.sampleEveryMinutes = 24 * 60;
-    const auto campaign =
-        nnsmith::fuzz::runCampaign(fuzzer, backend_list, config);
+    parallel.campaign.virtualBudget = 7ll * 24 * 60 * 60 * 1000;
+    parallel.campaign.maxIterations = iters;
+    parallel.campaign.sampleEveryMinutes = 24 * 60;
+    parallel.shards = options.shards;
+    parallel.workerMode = options.workerMode;
+    parallel.masterSeed = options.seed;
+    parallel.fuzzerFactory = [](uint64_t seed) {
+        nnsmith::fuzz::NNSmithFuzzer::Options fopts;
+        fopts.generator.targetOpNodes = 10;
+        return std::make_unique<nnsmith::fuzz::NNSmithFuzzer>(fopts, seed);
+    };
+    parallel.backendFactory = nnsmith::difftest::makeAllBackends;
+    const auto campaign = nnsmith::fuzz::runParallelCampaign(parallel);
 
     // ---- Table 3 matrix ------------------------------------------------
     const auto& registry = DefectRegistry::instance();

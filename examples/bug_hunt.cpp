@@ -11,7 +11,7 @@
 #include <map>
 
 #include "backends/defects.h"
-#include "fuzz/campaign.h"
+#include "fuzz/parallel_campaign.h"
 
 int
 main(int argc, char** argv)
@@ -22,20 +22,19 @@ main(int argc, char** argv)
     const uint64_t seed =
         argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
 
-    auto owned = difftest::makeAllBackends();
-    std::vector<backends::Backend*> backend_list;
-    for (auto& b : owned)
-        backend_list.push_back(b.get());
-
-    fuzz::NNSmithFuzzer::Options options;
-    options.generator.targetOpNodes = 10;
-    fuzz::NNSmithFuzzer fuzzer(options, seed);
-
-    fuzz::CampaignConfig config;
-    config.virtualBudget = 7ll * 24 * 60 * 60 * 1000; // a virtual week
-    config.maxIterations = iterations;
-    config.sampleEveryMinutes = 24 * 60;
-    const auto result = fuzz::runCampaign(fuzzer, backend_list, config);
+    fuzz::ParallelCampaignConfig config;
+    config.campaign.virtualBudget = 7ll * 24 * 60 * 60 * 1000; // 1 week
+    config.campaign.maxIterations = iterations;
+    config.campaign.sampleEveryMinutes = 24 * 60;
+    config.masterSeed = seed;
+    config.fuzzerFactory = [](uint64_t iteration_seed) {
+        fuzz::NNSmithFuzzer::Options options;
+        options.generator.targetOpNodes = 10;
+        return std::make_unique<fuzz::NNSmithFuzzer>(options,
+                                                     iteration_seed);
+    };
+    config.backendFactory = difftest::makeAllBackends;
+    const auto result = fuzz::runParallelCampaign(config);
 
     std::printf("ran %zu test cases, found %zu unique bug signals\n\n",
                 result.iterations, result.bugs.size());

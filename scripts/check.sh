@@ -53,6 +53,15 @@ echo "== parallel probe: scaling + identity across the worker matrix =="
 # value search on.
 ./build/bench/bench_parallel --iters 100
 
+echo "== tzer probe: fig8 prints the same in thread and process workers =="
+# Tzer keeps a corpus across iterations and runs as one in-order shard;
+# both worker runtimes must deliver its iterations in order.
+./build/bench/fig8_tzer_venn --iters 20 --worker-mode thread \
+    > build/fig8-thread.txt
+./build/bench/fig8_tzer_venn --iters 20 --worker-mode process \
+    > build/fig8-process.txt
+cmp build/fig8-thread.txt build/fig8-process.txt
+
 echo "== pass fuzz probe: sequence bins grow, shards merge identically =="
 ./build/bench/bench_pass_fuzz --iters 200
 

@@ -856,8 +856,11 @@ parseRepro(const std::string& text)
         ++cursor.pos;
     repro->program = parseTirProgramLines(lines, begin, cursor.pos);
 
-    if (!cursor.done()) {
+    // The program's rendering ends in a newline, so a repro without
+    // initial buffers ends in a blank line, not a buffers section.
+    if (!cursor.done())
         cursor.blanks();
+    if (!cursor.done()) {
         if (cursor.next("buffers section") != schema::kSectionBuffers)
             fail("expected initial-buffers section after the program");
         while (!cursor.done() && !lines[cursor.pos].empty()) {

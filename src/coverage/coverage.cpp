@@ -57,6 +57,15 @@ CoverageCollector::take()
     return out;
 }
 
+std::vector<BranchId>
+CoverageCollector::activeHits()
+{
+    const CoverageCollector* active = CoverageRegistry::activeCollector_;
+    if (active == nullptr)
+        return {};
+    return {active->hits_.begin(), active->hits_.end()};
+}
+
 CoverageRegistry&
 CoverageRegistry::instance()
 {

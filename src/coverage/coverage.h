@@ -69,6 +69,11 @@ class CoverageCollector {
     /** Ids hit since construction or the last take(), sorted; clears. */
     std::vector<BranchId> take();
 
+    /** Ids this thread's active collector gathered since its last
+     *  take(), sorted, without clearing; empty with no collector. In a
+     *  campaign worker these are the running iteration's hits. */
+    static std::vector<BranchId> activeHits();
+
   private:
     friend class CoverageRegistry;
     std::set<BranchId> hits_;

@@ -2,154 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <tuple>
 
 #include "backends/defects.h"
-#include "fuzz/campaign_loop.h"
 #include "fuzz/wire.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "reduce/reducer.h"
-#include "reduce/report.h"
-#include "support/logging.h"
 
 namespace nnsmith::fuzz {
 
 using coverage::CoverageRegistry;
-
-CampaignLoop::CampaignLoop(CampaignResult& result,
-                           const CampaignConfig& config,
-                           CoverageCounts counts)
-    : result_(result), config_(config), counts_(std::move(counts))
-{
-    sample();
-    nextSample_ = config_.sampleEveryMinutes;
-}
-
-void
-CampaignLoop::sample()
-{
-    CampaignPoint point;
-    point.minutes = clock_.minutes();
-    point.iterations = result_.iterations;
-    std::tie(point.coverageAll, point.coveragePass) = counts_();
-    result_.series.push_back(point);
-}
-
-bool
-CampaignLoop::admits() const
-{
-    return clock_.now() < config_.virtualBudget &&
-           result_.iterations < config_.maxIterations;
-}
-
-void
-CampaignLoop::add(VirtualMs cost, bool produced,
-                  std::vector<BugRecord> bugs,
-                  std::vector<std::string> instance_keys)
-{
-    ++result_.iterations;
-    result_.produced += produced ? 1 : 0;
-    clock_.advance(std::max<VirtualMs>(cost, 1));
-    for (auto& bug : bugs) {
-        for (const auto& defect : bug.defects)
-            result_.defectsFound.insert(defect);
-        result_.bugs.emplace(bug.dedupKey, std::move(bug));
-    }
-    for (auto& key : instance_keys)
-        result_.instanceKeys.insert(std::move(key));
-    while (clock_.minutes() >= nextSample_) {
-        sample();
-        // Re-stamp the sample at its nominal bucket boundary so
-        // different fuzzers' series align on the x axis.
-        result_.series.back().minutes = nextSample_;
-        nextSample_ += config_.sampleEveryMinutes;
-    }
-}
-
-void
-CampaignLoop::finish()
-{
-    result_.activeTime = clock_.now();
-    // If the real-iteration cap was hit before the virtual budget,
-    // fast-forward the converged plateau: coverage cannot grow without
-    // new test cases, so the remaining samples hold the final value
-    // (the paper notes curves "generally converge before" 4 hours).
-    // Bounded so iteration-capped campaigns with huge budgets stay
-    // cheap.
-    while (clock_.now() < config_.virtualBudget &&
-           result_.series.size() < 4096) {
-        clock_.advance(
-            static_cast<VirtualMs>(config_.sampleEveryMinutes) * 60 * 1000);
-        sample();
-        result_.series.back().minutes = nextSample_;
-        nextSample_ += config_.sampleEveryMinutes;
-    }
-    sample();
-    result_.virtualTime = clock_.now();
-}
-
-CampaignResult
-runCampaign(Fuzzer& fuzzer,
-            const std::vector<backends::Backend*>& backends,
-            const CampaignConfig& config)
-{
-    if (config.corpusGuided)
-        fatal("runCampaign: corpusGuided needs runParallelCampaign; "
-              "wrap the fuzzer in a CorpusGuidedFuzzer instead");
-    auto& registry = CoverageRegistry::instance();
-    registry.resetHits();
-
-    CampaignResult result;
-    result.fuzzer = fuzzer.name();
-    if (!config.corpusDir.empty()) {
-        // Re-check every known bug before fresh fuzzing. The scratch
-        // collector keeps replay's oracle runs out of the global hit
-        // bits, so --corpus cannot perturb campaign coverage.
-        obs::PhaseSpan span("replay");
-        coverage::CoverageCollector scratch;
-        try {
-            result.regressions =
-                corpus::replayCorpus(config.corpusDir, backends);
-        } catch (const corpus::ParseError& error) {
-            // A missing or malformed index is a configuration error
-            // (mistyped --corpus), not an internal failure.
-            fatal(std::string("runCampaign corpusDir: ") + error.what());
-        }
-        corpus::writeRegressions(config.corpusDir, result.regressions);
-    }
-
-    CampaignLoop loop(result, config, [&] {
-        return std::make_pair(
-            registry.snapshot(config.coverageComponent).count(),
-            registry.snapshotPassOnly(config.coverageComponent).count());
-    });
-    while (loop.admits()) {
-        IterationOutcome outcome = fuzzer.iterate(backends);
-        obs::counterAdd("campaign.iterations");
-        if (outcome.produced)
-            obs::counterAdd("campaign.produced");
-        if (!outcome.bugs.empty())
-            obs::counterAdd("campaign.bugs.flagged", outcome.bugs.size());
-        if (config.minimize && !outcome.bugs.empty()) {
-            // Keep the reduction's oracle re-runs out of the global
-            // coverage hit bits so --minimize does not change coverage
-            // (requires no collector active on this thread; sharded
-            // campaigns go through runParallelCampaign instead).
-            coverage::CoverageCollector scratch;
-            reduce::minimizeBugs(outcome.bugs, backends);
-        }
-        loop.add(outcome.cost, outcome.produced, std::move(outcome.bugs),
-                 std::move(outcome.instanceKeys));
-    }
-    loop.finish();
-    result.coverAll = registry.snapshot(config.coverageComponent);
-    result.coverPass =
-        registry.snapshotPassOnly(config.coverageComponent);
-    if (!config.reportDir.empty())
-        reduce::writeReproReports(result.bugs, config.reportDir);
-    return result;
-}
 
 std::string
 renderCampaignResult(const CampaignResult& result)

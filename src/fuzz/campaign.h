@@ -1,9 +1,11 @@
 /**
  * @file
- * Campaign driver: runs one fuzzer for a virtual-time budget against a
- * set of backends, recording coverage time series (Figs. 4-6), final
- * coverage sets (Figs. 7, 8, 10), instance-diversity keys (Fig. 9) and
- * deduplicated bug records (Table 3, §5.4).
+ * What a campaign is and what it produces: the budget, caps and
+ * options one fuzzer runs under against a set of backends, and the
+ * result — coverage time series (Figs. 4-6), final coverage sets
+ * (Figs. 7, 8, 10), instance-diversity keys (Fig. 9) and deduplicated
+ * bug records (Table 3, §5.4). Campaigns run on the campaign fabric
+ * (fuzz/parallel_campaign.h), the one campaign driver.
  */
 #ifndef NNSMITH_FUZZ_CAMPAIGN_H
 #define NNSMITH_FUZZ_CAMPAIGN_H
@@ -70,9 +72,10 @@ struct CampaignConfig {
      * chooses — from its own iteration seed, never shared state —
      * between fresh sampling and mutating a corpus entry. Composes
      * with minimize/reportDir/any worker mode, preserving the
-     * byte-identical merge guarantee. The serial runCampaign rejects
-     * this flag (fatal); construct a CorpusGuidedFuzzer directly
-     * instead.
+     * byte-identical merge guarantee. Leave it off for a stateful
+     * fuzzer (baselines::tzerFactory): an iteration the wrapper
+     * diverts never reaches the shared fuzzer, whose in-order check
+     * then fails.
      */
     bool corpusGuided = false;
 };
@@ -120,21 +123,15 @@ struct CampaignResult {
     VirtualMs activeTime = 0;   ///< virtual time actually spent fuzzing
 
     /**
-     * Worker-fabric telemetry from sharded runs (empty for the serial
-     * driver and thread workers that never fault). Deliberately left
-     * out of renderCampaignResult: two runs that merged the same
-     * records are the same campaign even if one needed respawns.
+     * Worker-fabric telemetry (empty for thread workers that never
+     * fault). Deliberately left out of renderCampaignResult: two runs
+     * that merged the same records are the same campaign even if one
+     * needed respawns.
      */
     std::vector<WorkerFault> workerFaults;
     /** Total worker respawns (crash recoveries) during the run. */
     size_t respawns = 0;
 };
-
-/** Run @p fuzzer for the configured budget. Resets coverage hits.
- *  Throws FatalError when config.corpusGuided is set. */
-CampaignResult runCampaign(Fuzzer& fuzzer,
-                           const std::vector<backends::Backend*>& backends,
-                           const CampaignConfig& config);
 
 /**
  * Canonical text of every field of @p result except the telemetry-only

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "corpus/replay.h"
-#include "fuzz/campaign_loop.h"
 #include "fuzz/mutator.h"
 #include "fuzz/wire.h"
 #include "fuzz/worker_runtime.h"
@@ -50,20 +49,27 @@ mergeShardResults(const std::vector<ShardResult>& shards,
         }
     }
 
-    // Replay the records through the campaign loop runCampaign drives,
-    // with coverage counted from the per-iteration hit deltas instead
-    // of the global registry bits. Records arrive in wire format
-    // regardless of the worker runtime: hit site keys are interned
-    // into *this* process's registry and bug documents parsed back
-    // through the corpus machinery, so thread and process shards merge
-    // identically.
+    // Replay the records in global index order. Records arrive in wire
+    // format regardless of the worker runtime: hit site keys are
+    // interned into *this* process's registry and bug documents parsed
+    // back through the corpus machinery, so thread and process shards
+    // merge identically.
     auto& registry = CoverageRegistry::instance();
     CampaignResult result;
     result.fuzzer = fuzzer_name;
-    CampaignLoop loop(result, config, [&result] {
-        return std::make_pair(result.coverAll.count(),
-                              result.coverPass.count());
-    });
+    VirtualClock clock;
+    auto sample = [&](double minutes) {
+        result.series.push_back(CampaignPoint{minutes, result.iterations,
+                                              result.coverAll.count(),
+                                              result.coverPass.count()});
+    };
+    // Samples past minute 0 are stamped at their nominal bucket
+    // boundary so different fuzzers' series align on the x axis.
+    double next_sample = config.sampleEveryMinutes;
+    auto sample_next = [&] {
+        sample(next_sample);
+        next_sample += config.sampleEveryMinutes;
+    };
     auto add_filtered = [&](coverage::CoverageMap& into,
                             const std::vector<coverage::BranchId>& ids,
                             bool pass_only) {
@@ -72,24 +78,48 @@ mergeShardResults(const std::vector<ShardResult>& shards,
         for (const auto id : kept.branches())
             into.add(id);
     };
+    sample(clock.minutes());
     // Speculative records past the budget cutoff are discarded; a
     // missing record means a shard stopped there, so nothing later
     // can count.
     for (size_t index = 0;
-         index < end && by_index[index] != nullptr && loop.admits();
+         index < end && by_index[index] != nullptr &&
+         clock.now() < config.virtualBudget &&
+         result.iterations < config.maxIterations;
          ++index) {
         const auto& record = *by_index[index];
         const auto ids = wire::hitsFromWire(record.hits);
         add_filtered(result.coverAll, ids, false);
         add_filtered(result.coverPass, ids, true);
-        std::vector<BugRecord> bugs;
-        bugs.reserve(record.bugs.size());
-        for (const auto& encoded : record.bugs)
-            bugs.push_back(wire::decodeBug(encoded));
-        loop.add(record.cost, record.produced, std::move(bugs),
-                 record.instanceKeys);
+        ++result.iterations;
+        result.produced += record.produced ? 1 : 0;
+        clock.advance(std::max<VirtualMs>(record.cost, 1));
+        for (const auto& encoded : record.bugs) {
+            BugRecord bug = wire::decodeBug(encoded);
+            for (const auto& defect : bug.defects)
+                result.defectsFound.insert(defect);
+            result.bugs.emplace(bug.dedupKey, std::move(bug));
+        }
+        result.instanceKeys.insert(record.instanceKeys.begin(),
+                                   record.instanceKeys.end());
+        while (clock.minutes() >= next_sample)
+            sample_next();
     }
-    loop.finish();
+    result.activeTime = clock.now();
+    // If the real-iteration cap was hit before the virtual budget,
+    // fast-forward the converged plateau: coverage cannot grow without
+    // new test cases, so the remaining samples hold the final value
+    // (the paper notes curves "generally converge before" 4 hours).
+    // Bounded so iteration-capped campaigns with huge budgets stay
+    // cheap.
+    while (clock.now() < config.virtualBudget &&
+           result.series.size() < 4096) {
+        clock.advance(
+            static_cast<VirtualMs>(config.sampleEveryMinutes) * 60 * 1000);
+        sample_next();
+    }
+    sample(clock.minutes());
+    result.virtualTime = clock.now();
     return result;
 }
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Sharded parallel campaign orchestrator — the campaign fabric.
+ * Sharded parallel campaign orchestrator — the campaign fabric, the
+ * one campaign driver.
  *
  * Runs one logical fuzzing campaign as N independent shards on a
  * worker runtime (fuzz/worker_runtime.h: an in-process std::thread
@@ -10,8 +11,8 @@
  * seed, campaign config) — *independent of the shard count, the
  * worker mode and scheduling* — so `--workers 4 --worker-mode process`
  * produces byte-identical coverage sets, bug dedup keys, instance keys
- * and virtual-time series to a serial in-thread run while saturating
- * wall-clock cores. See DESIGN.md "Campaign fabric" for the full
+ * and virtual-time series to a one-shard in-thread run while
+ * saturating wall-clock cores. See DESIGN.md "Campaign fabric" for the full
  * model.
  *
  * How the invariance is achieved: the campaign is defined as a
@@ -26,15 +27,17 @@
  * documents — process-portable payloads that round-trip
  * byte-identically, so a record means the same thing whether it
  * crossed a pipe or stayed in memory. Merging replays the records in
- * global index order, applying the virtual budget and iteration cap
- * exactly as the serial campaign driver does; speculatively executed
- * records past the budget cutoff are discarded. Execution proceeds in
+ * global index order under the virtual budget and iteration cap;
+ * speculatively executed records past the budget cutoff are
+ * discarded. Execution proceeds in
  * synchronized rounds so that the speculation overshoot stays bounded.
  *
- * The orchestrator requires an iteration-independent fuzzer (NNSmith
- * and the generative baselines qualify). Mutation-based fuzzers that
- * carry state across iterate() calls (Tzer) would change behaviour
- * under sharding; run those through the serial runCampaign instead.
+ * Sharding requires an iteration-independent fuzzer (NNSmith and the
+ * generative baselines qualify). A mutation-based fuzzer that carries
+ * state across iterations (Tzer) runs as one in-order shard: its
+ * factory hands out handles to one shared fuzzer, which checks that
+ * iteration seeds arrive in global order — true at shards = 1 in
+ * either worker mode — and throws otherwise (baselines::tzerFactory).
  */
 #ifndef NNSMITH_FUZZ_PARALLEL_CAMPAIGN_H
 #define NNSMITH_FUZZ_PARALLEL_CAMPAIGN_H
@@ -79,7 +82,8 @@ struct ParallelCampaignConfig {
     /** Budget, caps, coverage component and sampling cadence. */
     CampaignConfig campaign;
 
-    /** Worker shard count (1 = serial semantics on one worker). */
+    /** Worker shard count (1 = every iteration in order on one
+     *  worker, as a stateful fuzzer needs). */
     int shards = 1;
 
     /** Thread or process workers; the merged result is identical. */
@@ -171,9 +175,7 @@ uint64_t deriveIterationSeed(uint64_t master_seed, uint64_t index);
 /**
  * Merge shard results into one CampaignResult by replaying the
  * iteration records in global index order under @p config's virtual
- * budget, iteration cap and sampling cadence — the campaign loop
- * runCampaign drives, fed with records instead of live iterations.
- * Consumes only the wire format: hit keys are interned into this
+ * budget, iteration cap and sampling cadence. Consumes only the wire format: hit keys are interned into this
  * process's coverage registry and bug documents parsed back through
  * the corpus machinery, so records from forked workers and records
  * from sibling threads merge identically. Order-independent:
@@ -187,8 +189,7 @@ CampaignResult mergeShardResults(const std::vector<ShardResult>& shards,
 
 /**
  * Run a sharded campaign on config.shards workers of config.workerMode
- * and return the merged result. Resets global coverage hit state, like
- * runCampaign.
+ * and return the merged result. Resets global coverage hit state.
  */
 CampaignResult runParallelCampaign(const ParallelCampaignConfig& config);
 

@@ -68,7 +68,9 @@ OpBase::executeBatched(
 }
 
 namespace {
-bool g_proxy_derivatives = true;
+// Per thread: every autodiff::search sets and reads it on its own
+// thread, so concurrent campaign workers cannot see each other's.
+thread_local bool g_proxy_derivatives = true;
 } // namespace
 
 double

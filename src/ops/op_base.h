@@ -198,6 +198,7 @@ class OpBase {
  * trend-signed alpha instead of 0, letting gradient search escape
  * plateaus (Floor/Ceil/Round/ReLU's negative side/...). Fig. 11's
  * "Gradient" vs "Gradient (Proxy Deriv.)" ablation toggles this.
+ * The setting is per thread.
  */
 double proxyAlpha();
 void setProxyDerivativesEnabled(bool enabled);

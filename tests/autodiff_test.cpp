@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cmath>
+#include <thread>
 
 #include "autodiff/grad_search.h"
 #include "gen/generator.h"
@@ -287,6 +289,31 @@ TEST(GradSearch, GradientBeatsSamplingOnHardModel)
         EXPECT_TRUE(gr || !s) << "seed " << seed;
     }
     (void)grad_wins; // informational; asserted via EXPECT above
+}
+
+TEST(GradSearch, ProxyDerivativeSettingIsPerThread)
+{
+    // One thread disables proxies and holds them off while the other
+    // reads the default: concurrent searches must not see each other's
+    // setting.
+    std::barrier sync(2);
+    double disabled_alpha = -1.0, other_alpha = -1.0;
+    std::thread disabler([&] {
+        ops::setProxyDerivativesEnabled(false);
+        sync.arrive_and_wait(); // disabled before the other reads
+        sync.arrive_and_wait(); // still disabled while it read
+        disabled_alpha = ops::proxyAlpha();
+    });
+    std::thread reader([&] {
+        sync.arrive_and_wait();
+        other_alpha = ops::proxyAlpha();
+        sync.arrive_and_wait();
+    });
+    disabler.join();
+    reader.join();
+    EXPECT_EQ(disabled_alpha, 0.0);
+    EXPECT_EQ(other_alpha, 0.01);
+    EXPECT_TRUE(ops::proxyDerivativesEnabled());
 }
 
 TEST(GradSearch, MethodNamesMatchFigure11)

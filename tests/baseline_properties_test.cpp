@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "baselines/concrete_builder.h"
@@ -102,18 +103,48 @@ TEST(GraphFuzzerProperties, SliceRepairAligns)
     EXPECT_EQ(slices, 1);
 }
 
+/**
+ * Each iteration's bug dedup keys over @p iters iterations of @p tzer,
+ * run the way a campaign worker does: under a coverage collector
+ * drained after every iteration (into @p hits, when given). Without
+ * @p collect no collector is active, so the corpus never grows.
+ */
+std::vector<std::vector<std::string>>
+iterationKeys(TzerFuzzer& tzer, int iters, bool collect = true,
+              std::vector<coverage::BranchId>* hits = nullptr)
+{
+    std::optional<coverage::CoverageCollector> collector;
+    if (collect)
+        collector.emplace();
+    std::vector<std::vector<std::string>> keys;
+    for (int i = 0; i < iters; ++i) {
+        std::vector<std::string> iteration_keys;
+        for (const auto& bug : tzer.iterate({}).bugs)
+            iteration_keys.push_back(bug.dedupKey);
+        keys.push_back(std::move(iteration_keys));
+        if (collect) {
+            const auto taken = collector->take();
+            if (hits != nullptr)
+                hits->insert(hits->end(), taken.begin(), taken.end());
+        }
+    }
+    return keys;
+}
+
 TEST(TzerProperties, NeverTouchesGraphLevelComponents)
 {
-    ::nnsmith::coverage::CoverageRegistry::instance().resetHits();
     TzerFuzzer tzer(5);
-    for (int i = 0; i < 100; ++i)
-        tzer.iterate({});
-    auto& reg = ::nnsmith::coverage::CoverageRegistry::instance();
-    EXPECT_EQ(reg.snapshot("tvmlite/import").count(), 0u);
-    EXPECT_EQ(reg.snapshot("tvmlite/transform").count(), 0u);
-    EXPECT_EQ(reg.snapshot("ortlite").count(), 0u);
-    EXPECT_GT(reg.snapshot("tvmlite/pass").count(), 0u);
-    EXPECT_GT(reg.snapshot("tvmlite/lowlevel_api").count(), 0u);
+    std::vector<coverage::BranchId> hits;
+    iterationKeys(tzer, 100, true, &hits);
+    const auto& reg = coverage::CoverageRegistry::instance();
+    const auto count = [&](const char* component) {
+        return reg.filterIds(hits, component, false).count();
+    };
+    EXPECT_EQ(count("tvmlite/import"), 0u);
+    EXPECT_EQ(count("tvmlite/transform"), 0u);
+    EXPECT_EQ(count("ortlite"), 0u);
+    EXPECT_GT(count("tvmlite/pass"), 0u);
+    EXPECT_GT(count("tvmlite/lowlevel_api"), 0u);
 }
 
 TEST(TzerProperties, CanFindLowLevelDefects)
@@ -142,47 +173,37 @@ TEST(TzerProperties, FreshIterationsAreCorpusStateIndependent)
     // matter how the coverage-guided corpus diverged earlier. (With
     // the old shared-RNG stream, corpus divergence shifted every later
     // draw, including fresh ones.)
-    auto& registry = coverage::CoverageRegistry::instance();
     const uint64_t seed = 99;
-    const int iters = 40;
-    auto run = [&](bool cold_coverage) {
-        if (cold_coverage)
-            registry.resetHits();
-        TzerFuzzer fuzzer(seed);
-        std::vector<std::vector<std::string>> keys;
-        for (int i = 0; i < iters; ++i) {
-            const auto outcome = fuzzer.iterate({});
-            std::vector<std::string> iteration_keys;
-            for (const auto& bug : outcome.bugs)
-                iteration_keys.push_back(bug.dedupKey);
-            keys.push_back(std::move(iteration_keys));
-        }
-        return keys;
-    };
-    // Cold coverage: the corpus grows on every early coverage gain.
-    // Saturated coverage (no reset after the first run): the push
-    // signal mostly stays flat, so the second corpus diverges hard.
-    const auto cold = run(/*cold_coverage=*/true);
-    const auto saturated = run(/*cold_coverage=*/false);
+    const int iters = 120;
+    // Under a collector the corpus grows on coverage gains; with none
+    // it stays empty, so every iteration runs a program built from its
+    // own seed alone.
+    TzerFuzzer guided(seed);
+    const auto grown = iterationKeys(guided, iters);
+    ASSERT_GE(guided.corpusSize(), 2u);
+    TzerFuzzer standalone(seed);
+    const auto empty = iterationKeys(standalone, iters, false);
+    ASSERT_EQ(standalone.corpusSize(), 0u);
+    ASSERT_NE(grown, empty); // the corpus changed what mutants ran
 
     // Recompute each iteration's coin exactly as the fuzzer does: the
     // first draw of the per-iteration RNG.
-    size_t fresh_count = 0;
+    size_t fresh_with_bugs = 0;
     for (int i = 0; i < iters; ++i) {
         Rng it_rng(
             fuzz::deriveIterationSeed(seed, static_cast<uint64_t>(i)));
         if (!it_rng.chance(0.2))
             continue;
-        ++fresh_count;
-        EXPECT_EQ(cold[static_cast<size_t>(i)],
-                  saturated[static_cast<size_t>(i)])
+        const auto index = static_cast<size_t>(i);
+        fresh_with_bugs += empty[index].empty() ? 0 : 1;
+        EXPECT_EQ(grown[index], empty[index])
             << "fresh iteration " << i << " depended on corpus state";
     }
-    EXPECT_GT(fresh_count, 0u);
+    EXPECT_GT(fresh_with_bugs, 0u) << "no fresh iteration flagged a bug";
 
     // Identical conditions still give identical streams end to end.
-    EXPECT_EQ(run(true), run(true));
-    registry.resetHits();
+    TzerFuzzer again(seed);
+    EXPECT_EQ(iterationKeys(again, iters), grown);
 }
 
 TEST(CostModel, LemonIsOrdersOfMagnitudeSlower)

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "baselines/tzer.h"
 #include "corpus/parser.h"
 #include "corpus/replay.h"
 #include "difftest/oracle.h"
@@ -117,19 +118,26 @@ TEST(CorpusRoundTrip, AcceptanceCampaignSerializeParseReserialize)
 
 TEST(CorpusRoundTrip, SequenceCampaignSerializeParseReserialize)
 {
+    // Pass-sequence fuzzer repros, then Tzer's, which carry no initial
+    // buffers: their documents end right after the program.
     const auto dir = freshDir("nnsmith-corpus-seq-roundtrip");
-    fuzz::runParallelCampaign(sequenceCampaign(2023, 200, dir.string()));
-
-    const auto entries = corpus::loadCorpusIndex(dir.string());
-    ASSERT_GT(entries.size(), 0u);
-    for (const auto& entry : entries) {
-        const std::string text = readFile(dir / entry.file);
-        const auto bug = corpus::parseRepro(text);
-        ASSERT_NE(bug.seqRepro, nullptr) << entry.file;
-        EXPECT_EQ(corpus::renderRepro(bug), text) << entry.file;
+    auto tzer = sequenceCampaign(2023, 60, dir.string());
+    tzer.fuzzerFactory = baselines::tzerFactory(2023);
+    for (const auto& config :
+         {sequenceCampaign(2023, 200, dir.string()), tzer}) {
+        std::filesystem::remove_all(dir);
+        fuzz::runParallelCampaign(config);
+        const auto entries = corpus::loadCorpusIndex(dir.string());
+        ASSERT_GT(entries.size(), 0u);
+        for (const auto& entry : entries) {
+            const std::string text = readFile(dir / entry.file);
+            const auto bug = corpus::parseRepro(text);
+            ASSERT_NE(bug.seqRepro, nullptr) << entry.file;
+            EXPECT_EQ(corpus::renderRepro(bug), text) << entry.file;
+        }
+        const auto replay = corpus::replayCorpus(dir.string(), {});
+        EXPECT_EQ(replay.stillFires, entries.size());
     }
-    const auto replay = corpus::replayCorpus(dir.string(), {});
-    EXPECT_EQ(replay.stillFires, entries.size());
     std::filesystem::remove_all(dir);
 }
 

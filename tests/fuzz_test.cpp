@@ -4,7 +4,7 @@
 #include "baselines/graphfuzzer.h"
 #include "baselines/lemon.h"
 #include "baselines/tzer.h"
-#include "fuzz/campaign.h"
+#include "fuzz/parallel_campaign.h"
 #include "graph/validate.h"
 
 namespace nnsmith::fuzz {
@@ -54,23 +54,33 @@ TEST(NNSmithFuzzerTest, FindsSeededDefectsQuickly)
                                   "defects within 60 iterations";
 }
 
+/** A one-shard campaign of small NNSmith models on every backend. */
+ParallelCampaignConfig
+campaignConfig(uint64_t seed)
+{
+    ParallelCampaignConfig config;
+    config.masterSeed = seed;
+    config.fuzzerFactory = [](uint64_t iteration_seed) {
+        NNSmithFuzzer::Options options;
+        options.generator.targetOpNodes = 4;
+        options.search.timeBudgetMs = 4.0;
+        return std::make_unique<NNSmithFuzzer>(options, iteration_seed);
+    };
+    config.backendFactory = difftest::makeAllBackends;
+    return config;
+}
+
 TEST(Campaign, RespectsVirtualBudgetAndSamples)
 {
-    auto owned = difftest::makeAllBackends();
-    NNSmithFuzzer::Options options;
-    options.generator.targetOpNodes = 4;
-    options.search.timeBudgetMs = 4.0;
-    NNSmithFuzzer fuzzer(options, 5);
-    CampaignConfig config;
-    config.virtualBudget = 60ll * 1000; // one virtual minute
-    config.maxIterations = 500;
-    config.coverageComponent = "ortlite";
-    config.sampleEveryMinutes = 1;
-    const auto result =
-        runCampaign(fuzzer, rawBackends(owned), config);
+    auto config = campaignConfig(5);
+    config.campaign.virtualBudget = 60ll * 1000; // one virtual minute
+    config.campaign.maxIterations = 500;
+    config.campaign.coverageComponent = "ortlite";
+    config.campaign.sampleEveryMinutes = 1;
+    const auto result = runParallelCampaign(config);
     EXPECT_GT(result.iterations, 0u);
     EXPECT_GE(result.series.size(), 2u);
-    EXPECT_GE(result.virtualTime, config.virtualBudget);
+    EXPECT_GE(result.virtualTime, config.campaign.virtualBudget);
     // Coverage is monotone along the series.
     for (size_t i = 1; i < result.series.size(); ++i)
         EXPECT_GE(result.series[i].coverageAll,
@@ -80,16 +90,11 @@ TEST(Campaign, RespectsVirtualBudgetAndSamples)
 
 TEST(Campaign, CoverageComponentFilterIsolatesBackends)
 {
-    auto owned = difftest::makeAllBackends();
-    NNSmithFuzzer::Options options;
-    options.generator.targetOpNodes = 4;
-    options.search.timeBudgetMs = 4.0;
-    NNSmithFuzzer fuzzer(options, 6);
-    CampaignConfig config;
-    config.virtualBudget = 30ll * 1000;
-    config.maxIterations = 50;
-    config.coverageComponent = "tvmlite";
-    const auto result = runCampaign(fuzzer, rawBackends(owned), config);
+    auto config = campaignConfig(6);
+    config.campaign.virtualBudget = 30ll * 1000;
+    config.campaign.maxIterations = 50;
+    config.campaign.coverageComponent = "tvmlite";
+    const auto result = runParallelCampaign(config);
     // All recorded branches belong to the tvmlite component: pass-only
     // is a subset of all.
     EXPECT_LE(result.coverPass.count(), result.coverAll.count());
@@ -132,20 +137,26 @@ TEST(GraphFuzzerLite, GeneratesRepairedGraphs)
 
 TEST(Tzer, CoverageGuidedCorpusGrows)
 {
-    baselines::TzerFuzzer tzer(13);
-    coverage::CoverageRegistry::instance().resetHits();
+    // Iterate the way a campaign worker does: under a collector drained
+    // after every iteration. Tzer's feedback is its own iterations'
+    // hits, read from the collector, so the corpus grows here (reading
+    // the global hit bits, which a collector leaves unset, it stayed
+    // empty) and does not depend on what else set those bits.
+    auto corpus_size = [] {
+        baselines::TzerFuzzer tzer(13);
+        coverage::CoverageCollector collector;
+        for (int i = 0; i < 200; ++i) {
+            tzer.iterate({});
+            collector.take();
+        }
+        return tzer.corpusSize();
+    };
+    const size_t cold = corpus_size();
+    EXPECT_GE(cold, 2u);
+    baselines::TzerFuzzer other(14);
     for (int i = 0; i < 200; ++i)
-        tzer.iterate({});
-    EXPECT_GE(tzer.corpusSize(), 2u);
-    // Tzer only exercises low-level passes, never graph-level ones.
-    EXPECT_GT(coverage::CoverageRegistry::instance()
-                  .snapshot("tvmlite/pass")
-                  .count(),
-              0u);
-    EXPECT_EQ(coverage::CoverageRegistry::instance()
-                  .snapshot("tvmlite/transform")
-                  .count(),
-              0u);
+        other.iterate({}); // no collector: sets the global hit bits
+    EXPECT_EQ(corpus_size(), cold);
 }
 
 TEST(BugRecords, ExportCrashShortCircuits)

@@ -1,7 +1,7 @@
 /** Tests for the sharded parallel campaign runner: shard-count
  *  invariance, merge order-independence, scheduling determinism,
- *  shard-invariant regression-corpus replay, serial-vs-sharded
- *  identity of the one campaign loop, and the canonical rendering. */
+ *  shard-invariant regression-corpus replay, Tzer as a one-shard
+ *  stateful fuzzer, and the canonical rendering. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "backends/backend.h"
+#include "baselines/tzer.h"
 #include "corpus/replay.h"
 #include "fuzz/parallel_campaign.h"
 #include "fuzz/pass_fuzzer.h"
@@ -427,65 +428,44 @@ TEST(ParallelCampaign, CorpusGuidedIsShardAndWorkerModeInvariant)
     std::filesystem::remove_all(dir);
 }
 
-/** Runs the factory's per-iteration fuzzers in seed-stream order, so
- *  the serial runCampaign executes the iterations the sharded runner
- *  executes. */
-class SeedStreamFuzzer : public fuzz::Fuzzer {
-  public:
-    SeedStreamFuzzer(fuzz::FuzzerFactory factory, uint64_t master_seed)
-        : factory_(std::move(factory)), masterSeed_(master_seed)
-    {
-    }
-
-    std::string name() const override
-    {
-        return factory_(fuzz::deriveIterationSeed(masterSeed_, 0))->name();
-    }
-
-    fuzz::IterationOutcome
-    iterate(const std::vector<backends::Backend*>& backend_list) override
-    {
-        const uint64_t seed = fuzz::deriveIterationSeed(masterSeed_, next_++);
-        return factory_(seed)->iterate(backend_list);
-    }
-
-  private:
-    fuzz::FuzzerFactory factory_;
-    uint64_t masterSeed_;
-    uint64_t next_ = 0;
-};
-
-TEST(ParallelCampaign, SerialAndShardedCampaignsRenderIdentically)
+/** A Tzer campaign over the first 40 iterations of @p seed. */
+ParallelCampaignConfig
+tzerConfig(int shards, fuzz::WorkerMode mode, uint64_t seed)
 {
-    // runCampaign and mergeShardResults drive one campaign loop: fed
-    // the same iterations, with minimization on, the serial driver and
-    // the sharded runner must produce byte-identical results.
-    auto config = testConfig(1, 2023);
+    auto config = testConfig(shards, seed);
+    config.campaign.maxIterations = 40;
+    config.campaign.coverageComponent = "tvmlite";
     config.campaign.minimize = true;
-    auto owned = config.backendFactory();
-    std::vector<backends::Backend*> backend_list;
-    for (auto& backend : owned)
-        backend_list.push_back(backend.get());
-    SeedStreamFuzzer fuzzer(config.fuzzerFactory, config.masterSeed);
-    const auto serial =
-        fuzz::runCampaign(fuzzer, backend_list, config.campaign);
-    EXPECT_FALSE(serial.bugs.empty());
-    const std::string text = renderCampaignResult(serial);
-    for (const int shards : {1, 4}) {
-        config.shards = shards;
-        EXPECT_EQ(renderCampaignResult(fuzz::runParallelCampaign(config)),
-                  text)
-            << "shards=" << shards;
-    }
+    config.workerMode = mode;
+    config.fuzzerFactory = baselines::tzerFactory(seed);
+    return config;
 }
 
-TEST(ParallelCampaign, SerialRunCampaignRejectsCorpusGuided)
+TEST(ParallelCampaign, TzerRunsAsOneInOrderShardInEitherRuntime)
 {
-    auto config = testConfig(1, 2023);
-    config.campaign.corpusGuided = true;
-    SeedStreamFuzzer fuzzer(config.fuzzerFactory, config.masterSeed);
-    EXPECT_THROW(fuzz::runCampaign(fuzzer, {}, config.campaign),
-                 FatalError);
+    // Tzer carries its corpus across iterations, so it runs as one
+    // shard; both runtimes must deliver its iterations in order and
+    // merge to the same result.
+    const auto thread = fuzz::runParallelCampaign(
+        tzerConfig(1, fuzz::WorkerMode::kThread, 31));
+    EXPECT_EQ(thread.fuzzer, "Tzer");
+    EXPECT_EQ(thread.iterations, 40u);
+    EXPECT_FALSE(thread.bugs.empty());
+    EXPECT_GT(thread.coverPass.count(), 0u);
+    EXPECT_EQ(renderCampaignResult(thread),
+              renderCampaignResult(fuzz::runParallelCampaign(
+                  tzerConfig(1, fuzz::WorkerMode::kProcess, 31))));
+}
+
+TEST(ParallelCampaign, TzerRejectsMoreThanOneShard)
+{
+    // Two shards hand the shared Tzer iterations out of order; the run
+    // must fail rather than merge a silently different campaign.
+    for (const auto mode :
+         {fuzz::WorkerMode::kThread, fuzz::WorkerMode::kProcess})
+        EXPECT_ANY_THROW(
+            fuzz::runParallelCampaign(tzerConfig(2, mode, 31)))
+            << fuzz::workerModeName(mode);
 }
 
 TEST(ParallelCampaign, RenderingCoversEveryFieldButTelemetry)
