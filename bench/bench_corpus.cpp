@@ -32,60 +32,11 @@
 #include "bench_util.h"
 #include "corpus/parser.h"
 #include "corpus/replay.h"
-#include "fuzz/pass_fuzzer.h"
+#include "json.h"
 
 namespace {
 
 using namespace nnsmith;
-
-fuzz::ParallelCampaignConfig
-nnsmithCampaign(int shards, uint64_t seed, size_t iters,
-                const std::string& report_dir,
-                const std::string& corpus_dir,
-                fuzz::WorkerMode mode = fuzz::WorkerMode::kThread)
-{
-    fuzz::ParallelCampaignConfig config;
-    config.campaign.virtualBudget = 240ll * 60 * 1000;
-    config.campaign.maxIterations = iters;
-    config.campaign.coverageComponent = "tvmlite";
-    config.campaign.sampleEveryMinutes = 10;
-    config.campaign.minimize = true;
-    config.campaign.reportDir = report_dir;
-    config.campaign.corpusDir = corpus_dir;
-    config.shards = shards;
-    config.workerMode = mode;
-    config.masterSeed = seed;
-    config.fuzzerFactory = [](uint64_t iteration_seed) {
-        fuzz::NNSmithFuzzer::Options options;
-        options.generator.targetOpNodes = 10; // §5.1 default size
-        options.runValueSearch = false;       // oracle quality unaffected
-        return std::make_unique<fuzz::NNSmithFuzzer>(options,
-                                                     iteration_seed);
-    };
-    config.backendFactory = [] { return difftest::makeAllBackends(); };
-    return config;
-}
-
-fuzz::ParallelCampaignConfig
-sequenceCampaign(uint64_t seed, size_t iters, const std::string& report_dir)
-{
-    fuzz::ParallelCampaignConfig config;
-    config.campaign.virtualBudget = 240ll * 60 * 1000;
-    config.campaign.maxIterations = iters;
-    config.campaign.coverageComponent = "tvmlite";
-    config.campaign.sampleEveryMinutes = 10;
-    config.campaign.minimize = true;
-    config.campaign.reportDir = report_dir;
-    config.shards = 1;
-    config.masterSeed = seed;
-    config.fuzzerFactory = [](uint64_t iteration_seed) {
-        return std::make_unique<fuzz::PassSequenceFuzzer>(iteration_seed);
-    };
-    config.backendFactory = [] {
-        return std::vector<std::unique_ptr<backends::Backend>>{};
-    };
-    return config;
-}
 
 /** Count of repro files whose serialize->parse->re-serialize round
  *  trip is byte-identical (against the total). */
@@ -181,10 +132,10 @@ main(int argc, char** argv)
     std::filesystem::remove_all(base);
 
     // ---- 1. emit the acceptance corpora ------------------------------
-    const auto emitted = fuzz::runParallelCampaign(nnsmithCampaign(
-        1, options.seed, options.iters, graph_dir, ""));
+    const auto emitted = fuzz::runParallelCampaign(bench::trioCampaign(
+        options.seed, options.iters, "tvmlite", graph_dir));
     const auto seq_emitted = fuzz::runParallelCampaign(
-        sequenceCampaign(options.seed, options.iters, seq_dir));
+        bench::sequenceCampaign(options.seed, options.iters, seq_dir));
     const size_t graph_reports = corpus::loadCorpusIndex(graph_dir).size();
     const size_t seq_reports = corpus::loadCorpusIndex(seq_dir).size();
     std::printf("emitted: %zu graph repros (%zu deduped bugs), "
@@ -212,8 +163,8 @@ main(int argc, char** argv)
 
     // ---- 4. shard invariance with --corpus ---------------------------
     auto regressions_of = [&](int shards) {
-        const auto result = fuzz::runParallelCampaign(nnsmithCampaign(
-            shards, options.seed, options.iters, "", graph_dir,
+        const auto result = fuzz::runParallelCampaign(bench::trioCampaign(
+            options.seed, options.iters, "tvmlite", "", graph_dir, shards,
             options.workerMode));
         return std::pair<std::string, size_t>(
             corpus::renderRegressions(result.regressions),
@@ -234,43 +185,34 @@ main(int argc, char** argv)
     const bool roundtrip_ok = graph_rt.identical == graph_rt.files &&
                               seq_rt.identical == seq_rt.files;
 
-    FILE* out = options.outPath.empty()
-                    ? stdout
-                    : std::fopen(options.outPath.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
+    bench::Json json;
+    json.beginObject()
+        .field("bench", "corpus")
+        .field("driver", "bench/bench_corpus --iters " +
+                             std::to_string(options.iters) + " --seed " +
+                             std::to_string(options.seed));
+    for (const auto& [key, replay] :
+         {std::pair{"graph_corpus", &graph_replay},
+          std::pair{"sequence_corpus", &seq_replay}})
+        json.key(key)
+            .beginObject()
+            .field("reports", replay->total())
+            .field("still_fires", replay->stillFires)
+            .field("changed", replay->changed)
+            .field("fixed", replay->fixed)
+            .field("parse_errors", replay->parseErrors)
+            .endObject();
+    json.key("round_trip")
+        .beginObject()
+        .field("files", graph_rt.files + seq_rt.files)
+        .field("byte_identical", graph_rt.identical + seq_rt.identical)
+        .endObject();
+    json.key("sharded_replay")
+        .beginObject()
+        .field("regressions_identical_1_2_4", shard_identical)
+        .endObject()
+        .endObject();
+    if (!bench::writeJson(options.outPath, json))
         return 1;
-    }
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"bench\": \"corpus\",\n");
-    std::fprintf(out, "  \"driver\": \"bench/bench_corpus --iters %zu "
-                      "--seed %llu\",\n",
-                 options.iters,
-                 static_cast<unsigned long long>(options.seed));
-    std::fprintf(out, "  \"graph_corpus\": {\n");
-    std::fprintf(out, "    \"reports\": %zu,\n", graph_replay.total());
-    std::fprintf(out, "    \"still_fires\": %zu,\n",
-                 graph_replay.stillFires);
-    std::fprintf(out, "    \"changed\": %zu,\n", graph_replay.changed);
-    std::fprintf(out, "    \"fixed\": %zu,\n", graph_replay.fixed);
-    std::fprintf(out, "    \"parse_errors\": %zu\n  },\n",
-                 graph_replay.parseErrors);
-    std::fprintf(out, "  \"sequence_corpus\": {\n");
-    std::fprintf(out, "    \"reports\": %zu,\n", seq_replay.total());
-    std::fprintf(out, "    \"still_fires\": %zu,\n", seq_replay.stillFires);
-    std::fprintf(out, "    \"changed\": %zu,\n", seq_replay.changed);
-    std::fprintf(out, "    \"fixed\": %zu,\n", seq_replay.fixed);
-    std::fprintf(out, "    \"parse_errors\": %zu\n  },\n",
-                 seq_replay.parseErrors);
-    std::fprintf(out, "  \"round_trip\": {\n");
-    std::fprintf(out, "    \"files\": %zu,\n",
-                 graph_rt.files + seq_rt.files);
-    std::fprintf(out, "    \"byte_identical\": %zu\n  },\n",
-                 graph_rt.identical + seq_rt.identical);
-    std::fprintf(out, "  \"sharded_replay\": {\n");
-    std::fprintf(out, "    \"regressions_identical_1_2_4\": %s\n  }\n}\n",
-                 shard_identical ? "true" : "false");
-    if (out != stdout)
-        std::fclose(out);
     return all_still_fire && roundtrip_ok && shard_identical ? 0 : 1;
 }

@@ -22,10 +22,10 @@
  *
  *   ./bench/bench_kernels [--seed N] [--iters N] [--out FILE]
  */
-#include <chrono>
 #include <thread>
 
 #include "bench_util.h"
+#include "json.h"
 #include "ops/binary.h"
 #include "ops/elementwise.h"
 #include "ops/misc_ops.h"
@@ -34,83 +34,8 @@
 namespace {
 
 using namespace nnsmith;
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/** Campaign throughput with fixed (iteration-capped) search work. */
-struct CampaignScore {
-    double seconds = 0.0;
-    size_t iterations = 0;
-    size_t bugs = 0;
-    size_t coverage = 0;
-    double itersPerSec() const
-    {
-        return seconds > 0.0 ? static_cast<double>(iterations) / seconds
-                             : 0.0;
-    }
-};
-
-CampaignScore
-runCampaignScore(uint64_t seed, size_t iters)
-{
-    fuzz::NNSmithFuzzer::Options options;
-    options.generator.targetOpNodes = 10; // §5.1 default model size
-    // Heavy-tensor workload: 2x dimension caps with a floor of 16 pin
-    // every generated tensor to the regime the typed kernels target
-    // (the solver would otherwise prefer tiny dims, leaving the
-    // campaign generation-bound). The native solver samples dims
-    // across the whole allowed range (z3 returns corner models) and
-    // keeps generation cost from masking execution cost. The op pool
-    // is the element-loop families the kernel layer serves (linear
-    // per-element cost, so the driver stays tractable pre-refactor;
-    // Mod is deliberately absent — it does not exist at the baseline
-    // commit this driver is also built against).
-    options.generator.dimCapScale = 2;
-    options.generator.dimFloor = 16;
-    options.generator.solverKind = solver::SolverKind::kNative;
-    options.generator.opAllowlist = {
-        "Add",      "Sub",       "Mul",       "Div",       "Pow",
-        "Max",      "Min",       "Equal",     "Greater",   "Less",
-        "And",      "Or",        "Xor",       "Relu",      "LeakyRelu",
-        "Sigmoid",  "Tanh",      "Abs",       "Neg",       "Clip",
-        "Softmax",  "Where",     "Cast",      "ReduceSum", "ReduceMean",
-        "ReduceMax", "ReduceMin", "ReduceProd", "ArgMax",  "ArgMin"};
-    // Iteration-capped search: a huge time budget makes maxIterations
-    // the binding constraint, so per-iteration work is deterministic
-    // and wall-clock time measures execution speed.
-    options.search.timeBudgetMs = 1e12;
-    options.search.maxIterations = 32;
-
-    fuzz::ParallelCampaignConfig config;
-    // The fig4-style 240 virtual minutes comfortably exceed the
-    // iteration cap's virtual cost, so maxIterations binds; keeping the
-    // budget modest also keeps the merge's converged-plateau sampling
-    // cheap.
-    config.campaign.virtualBudget = 240ll * 60 * 1000;
-    config.campaign.maxIterations = iters;
-    config.campaign.coverageComponent = "ortlite";
-    config.campaign.sampleEveryMinutes = 10;
-    config.masterSeed = seed;
-    config.fuzzerFactory = [options](uint64_t iteration_seed) {
-        return std::make_unique<fuzz::NNSmithFuzzer>(options,
-                                                     iteration_seed);
-    };
-    config.backendFactory = difftest::makeAllBackends;
-
-    const auto start = Clock::now();
-    const auto result = fuzz::runParallelCampaign(config);
-    CampaignScore score;
-    score.seconds = secondsSince(start);
-    score.iterations = result.iterations;
-    score.bugs = result.bugs.size();
-    score.coverage = result.coverAll.count();
-    return score;
-}
+using bench::Clock;
+using bench::secondsSince;
 
 /** One single-op element-loop measurement. */
 struct KernelScore {
@@ -234,11 +159,18 @@ main(int argc, char** argv)
     const bench::BenchOptions options =
         bench::parseArgs(argc, argv, /*default_iters=*/120);
 
-    const auto campaign = runCampaignScore(options.seed, options.iters);
+    // Campaign throughput with fixed (iteration-capped) search work.
+    const auto start = Clock::now();
+    const auto campaign = fuzz::runParallelCampaign(
+        bench::campaignConfig(options.seed, options.iters, "ortlite",
+                              bench::heavyTensorFactory(),
+                              difftest::makeAllBackends));
+    const double seconds = secondsSince(start);
+    const double iters_per_sec = campaign.iterations / seconds;
     std::printf("campaign: %zu iters in %.3fs -> %.2f iters/sec "
                 "(coverage=%zu bugs=%zu)\n",
-                campaign.iterations, campaign.seconds,
-                campaign.itersPerSec(), campaign.coverage, campaign.bugs);
+                campaign.iterations, seconds, iters_per_sec,
+                campaign.coverAll.count(), campaign.bugs.size());
 
     const auto kernels = runKernelScores(options.seed);
     for (const auto& k : kernels)
@@ -247,32 +179,25 @@ main(int argc, char** argv)
     const double find_ns = registryFindNs();
     std::printf("registry find: %.1f ns/lookup\n", find_ns);
 
-    FILE* out = options.outPath.empty()
-                    ? stdout
-                    : std::fopen(options.outPath.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
+    bench::Json json;
+    json.beginObject()
+        .field("bench", "typed_kernels")
+        .field("seed", options.seed)
+        .field("hardware_threads", std::thread::hardware_concurrency());
+    json.key("campaign")
+        .beginObject(true)
+        .field("iterations", campaign.iterations)
+        .field("wall_seconds", seconds, 3)
+        .field("iters_per_sec", iters_per_sec, 3)
+        .field("coverage", campaign.coverAll.count())
+        .field("bugs", campaign.bugs.size())
+        .endObject();
+    json.field("registry_find_ns", find_ns, 1);
+    json.key("kernels_melems_per_sec").beginObject();
+    for (const auto& k : kernels)
+        json.field(k.label, k.melemsPerSec, 2);
+    json.endObject().endObject();
+    if (!bench::writeJson(options.outPath, json))
         return 1;
-    }
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"bench\": \"typed_kernels\",\n");
-    std::fprintf(out, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(options.seed));
-    std::fprintf(out, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(out, "  \"campaign\": {\"iterations\": %zu, "
-                 "\"wall_seconds\": %.3f, \"iters_per_sec\": %.3f, "
-                 "\"coverage\": %zu, \"bugs\": %zu},\n",
-                 campaign.iterations, campaign.seconds,
-                 campaign.itersPerSec(), campaign.coverage, campaign.bugs);
-    std::fprintf(out, "  \"registry_find_ns\": %.1f,\n", find_ns);
-    std::fprintf(out, "  \"kernels_melems_per_sec\": {\n");
-    for (size_t i = 0; i < kernels.size(); ++i)
-        std::fprintf(out, "    \"%s\": %.2f%s\n", kernels[i].label,
-                     kernels[i].melemsPerSec,
-                     i + 1 < kernels.size() ? "," : "");
-    std::fprintf(out, "  }\n}\n");
-    if (out != stdout)
-        std::fclose(out);
     return 0;
 }

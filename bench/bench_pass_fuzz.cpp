@@ -17,9 +17,8 @@
  *
  *  3. "campaign": the end-to-end NNSmith campaign of
  *     bench_kernels.cpp (identical heavy-tensor generator config and
- *     iteration-capped value search) with TVMLite in pass-fuzz mode —
- *     randomized TIR pass sequences must not regress campaign
- *     throughput vs the committed BENCH_typed_kernels.json number.
+ *     iteration-capped value search) with TVMLite in pass-fuzz mode,
+ *     recorded as iters/sec.
  *
  * BENCH_pass_fuzz.json at the repo root is a committed record of this
  * output (see DESIGN.md "TIR pass pipeline & sequence fuzzing").
@@ -27,22 +26,16 @@
  *   ./bench/bench_pass_fuzz [--seed N] [--iters N] [--shards N]
  *                           [--out FILE]
  */
-#include <chrono>
 #include <thread>
 
 #include "bench_util.h"
-#include "fuzz/pass_fuzzer.h"
+#include "json.h"
 
 namespace {
 
 using namespace nnsmith;
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using bench::Clock;
+using bench::secondsSince;
 
 size_t
 seqBinsRegistered()
@@ -61,65 +54,29 @@ fuzz::ParallelCampaignConfig
 passFuzzCampaign(int shards, uint64_t seed, size_t iters,
                  fuzz::WorkerMode mode = fuzz::WorkerMode::kThread)
 {
-    fuzz::ParallelCampaignConfig config;
-    config.campaign.virtualBudget = 240ll * 60 * 1000;
-    config.campaign.maxIterations = iters;
-    config.campaign.coverageComponent = "tvmlite";
-    config.campaign.sampleEveryMinutes = 10;
+    auto config =
+        bench::campaignConfig(seed, iters, "tvmlite",
+                              bench::passSequenceFactory(), bench::noBackends);
     config.shards = shards;
     config.workerMode = mode;
-    config.masterSeed = seed;
-    config.fuzzerFactory = [](uint64_t iteration_seed) {
-        return std::make_unique<fuzz::PassSequenceFuzzer>(iteration_seed);
-    };
-    // The fuzzer interprets TIR directly; no backend needed, but the
-    // factory must exist (and shards each call it once).
-    config.backendFactory = [] {
-        return std::vector<std::unique_ptr<backends::Backend>>{};
-    };
     return config;
 }
 
 /**
  * The bench_kernels.cpp campaign (same generator/search config — see
  * that file for the workload rationale) with TVMLite running
- * randomized pass sequences. Throughput must stay at the
- * BENCH_typed_kernels.json level: the pass-fuzz draw is one hash +
- * shuffle per lowered program, noise next to kernel execution.
+ * randomized pass sequences.
  */
 double
 campaignItersPerSec(uint64_t seed, size_t iters)
 {
-    fuzz::NNSmithFuzzer::Options options;
-    options.generator.targetOpNodes = 10;
-    options.generator.dimCapScale = 2;
-    options.generator.dimFloor = 16;
-    options.generator.solverKind = solver::SolverKind::kNative;
-    options.generator.opAllowlist = {
-        "Add",      "Sub",       "Mul",       "Div",       "Pow",
-        "Max",      "Min",       "Equal",     "Greater",   "Less",
-        "And",      "Or",        "Xor",       "Relu",      "LeakyRelu",
-        "Sigmoid",  "Tanh",      "Abs",       "Neg",       "Clip",
-        "Softmax",  "Where",     "Cast",      "ReduceSum", "ReduceMean",
-        "ReduceMax", "ReduceMin", "ReduceProd", "ArgMax",  "ArgMin"};
-    options.search.timeBudgetMs = 1e12;
-    options.search.maxIterations = 32;
-
-    fuzz::ParallelCampaignConfig config;
-    config.campaign.virtualBudget = 240ll * 60 * 1000;
-    config.campaign.maxIterations = iters;
-    config.campaign.coverageComponent = "tvmlite";
-    config.campaign.sampleEveryMinutes = 10;
-    config.masterSeed = seed;
-    config.fuzzerFactory = [options](uint64_t iteration_seed) {
-        return std::make_unique<fuzz::NNSmithFuzzer>(options,
-                                                     iteration_seed);
-    };
-    config.backendFactory = [seed] {
-        auto owned = difftest::makeAllBackends();
-        owned[1] = backends::makeTvmLite(/*pass_fuzz_seed=*/seed | 1);
-        return owned;
-    };
+    auto config = bench::campaignConfig(
+        seed, iters, "tvmlite", bench::heavyTensorFactory(),
+        [seed] {
+            auto owned = difftest::makeAllBackends();
+            owned[1] = backends::makeTvmLite(/*pass_fuzz_seed=*/seed | 1);
+            return owned;
+        });
 
     const auto start = Clock::now();
     const auto result = fuzz::runParallelCampaign(config);
@@ -179,57 +136,42 @@ main(int argc, char** argv)
     // ---- 3. end-to-end campaign throughput ---------------------------
     const double iters_per_sec = campaignItersPerSec(options.seed, 120);
 
-    FILE* out = options.outPath.empty()
-                    ? stdout
-                    : std::fopen(options.outPath.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
+    bench::Json json;
+    json.beginObject()
+        .field("bench", "pass_fuzz")
+        .field("driver", "bench/bench_pass_fuzz --iters " +
+                             std::to_string(options.iters) + " --seed " +
+                             std::to_string(options.seed))
+        .field("hardware_threads", std::thread::hardware_concurrency());
+    json.key("sequence_fuzzing")
+        .beginObject()
+        .field("iterations", options.iters)
+        .field("wall_seconds", fuzz_seconds, 3)
+        .field("sequences_per_sec",
+               static_cast<double>(options.iters) / fuzz_seconds, 1)
+        .field("distinct_seq_bins", bins)
+        .field("bins_per_10_iters", bins_per_10_iters, 2);
+    json.key("bin_growth").beginArray();
+    for (const auto& point : series)
+        json.beginArray(true)
+            .value(point.iterations)
+            .value(point.bins)
+            .endArray();
+    json.endArray().endObject();
+    json.key("sharded_campaign")
+        .beginObject()
+        .field("merged_results_identical", identical)
+        .field("bugs", serial.bugs.size())
+        .field("distinct_sequences", serial.instanceKeys.size())
+        .field("pass_coverage", serial.coverPass.count())
+        .endObject();
+    json.key("campaign_pass_fuzz_tvmlite")
+        .beginObject()
+        .field("iterations", 120)
+        .field("iters_per_sec", iters_per_sec, 3)
+        .endObject()
+        .endObject();
+    if (!bench::writeJson(options.outPath, json))
         return 1;
-    }
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"bench\": \"pass_fuzz\",\n");
-    std::fprintf(out, "  \"driver\": \"bench/bench_pass_fuzz --iters %zu "
-                      "--seed %llu\",\n",
-                 options.iters,
-                 static_cast<unsigned long long>(options.seed));
-    std::fprintf(out, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(out, "  \"sequence_fuzzing\": {\n");
-    std::fprintf(out, "    \"iterations\": %zu,\n", options.iters);
-    std::fprintf(out, "    \"wall_seconds\": %.3f,\n", fuzz_seconds);
-    std::fprintf(out, "    \"sequences_per_sec\": %.1f,\n",
-                 static_cast<double>(options.iters) / fuzz_seconds);
-    std::fprintf(out, "    \"distinct_seq_bins\": %zu,\n", bins);
-    std::fprintf(out, "    \"bins_per_10_iters\": %.2f,\n",
-                 bins_per_10_iters);
-    std::fprintf(out, "    \"bin_growth\": [");
-    for (size_t i = 0; i < series.size(); ++i) {
-        if (i % 6 == 0)
-            std::fprintf(out, "\n      ");
-        std::fprintf(out, "[%zu, %zu]%s", series[i].iterations,
-                     series[i].bins,
-                     i + 1 < series.size() ? ", " : "");
-    }
-    std::fprintf(out, "\n    ]\n  },\n");
-    std::fprintf(out, "  \"sharded_campaign\": {\n");
-    std::fprintf(out, "    \"merged_results_identical\": %s,\n",
-                 identical ? "true" : "false");
-    std::fprintf(out, "    \"bugs\": %zu,\n", serial.bugs.size());
-    std::fprintf(out, "    \"distinct_sequences\": %zu,\n",
-                 serial.instanceKeys.size());
-    std::fprintf(out, "    \"pass_coverage\": %zu\n",
-                 serial.coverPass.count());
-    std::fprintf(out, "  },\n");
-    std::fprintf(out, "  \"campaign_pass_fuzz_tvmlite\": {\n");
-    std::fprintf(out, "    \"note\": \"bench_kernels.cpp campaign "
-                      "config with TVMLite pass-fuzz enabled; compare "
-                      "iters_per_sec against BENCH_typed_kernels.json "
-                      "campaign.after.iters_per_sec\",\n");
-    std::fprintf(out, "    \"iterations\": 120,\n");
-    std::fprintf(out, "    \"iters_per_sec\": %.3f,\n", iters_per_sec);
-    std::fprintf(out, "    \"typed_kernels_reference\": 12.306\n");
-    std::fprintf(out, "  }\n}\n");
-    if (out != stdout)
-        std::fclose(out);
     return identical && bins_per_10_iters > 1.0 ? 0 : 1;
 }

@@ -25,8 +25,8 @@
 
 #include "backends/graph_pass.h"
 #include "bench_util.h"
-#include "fuzz/pass_fuzzer.h"
 #include "identity.h"
+#include "json.h"
 
 namespace {
 
@@ -45,32 +45,27 @@ vennCampaign(const std::string& backend, const std::string& component,
              int shards, uint64_t seed, size_t iters,
              fuzz::WorkerMode mode = fuzz::WorkerMode::kThread)
 {
-    fuzz::ParallelCampaignConfig config;
-    config.campaign.virtualBudget = 240ll * 60 * 1000;
-    config.campaign.maxIterations = iters;
-    config.campaign.coverageComponent = component;
-    config.campaign.sampleEveryMinutes = 10;
-    config.shards = shards;
-    config.workerMode = mode;
-    config.masterSeed = seed;
-    config.fuzzerFactory = [backend](uint64_t iteration_seed) {
-        fuzz::PassSequenceFuzzer::Options options;
-        options.backend = backend;
-        return std::make_unique<fuzz::PassSequenceFuzzer>(iteration_seed,
-                                                          options);
-    };
     // TVMLite sequences run through the TIR interpreter (no backend);
     // graph-pass backends are their own differential oracle and must
     // be present in the campaign's backend list.
-    config.backendFactory =
-        [backend]() -> std::vector<std::unique_ptr<backends::Backend>> {
-        std::vector<std::unique_ptr<backends::Backend>> owned;
-        if (backend == "OrtLite")
-            owned.push_back(backends::makeOrtLite());
-        else if (backend == "TrtLite")
-            owned.push_back(backends::makeTrtLite());
-        return owned;
-    };
+    auto config = bench::campaignConfig(
+        seed, iters, component,
+        [backend](uint64_t iteration_seed) {
+            fuzz::PassSequenceFuzzer::Options options;
+            options.backend = backend;
+            return std::make_unique<fuzz::PassSequenceFuzzer>(
+                iteration_seed, options);
+        },
+        [backend] {
+            std::vector<std::unique_ptr<backends::Backend>> owned;
+            if (backend == "OrtLite")
+                owned.push_back(backends::makeOrtLite());
+            else if (backend == "TrtLite")
+                owned.push_back(backends::makeTrtLite());
+            return owned;
+        });
+    config.shards = shards;
+    config.workerMode = mode;
     return config;
 }
 
@@ -112,33 +107,15 @@ binsOf(const fuzz::CampaignResult& result)
     return bins;
 }
 
-size_t
-minus2(const std::set<std::string>& x, const std::set<std::string>& y,
-       const std::set<std::string>& z)
-{
-    size_t n = 0;
-    for (const auto& bin : x)
-        n += y.count(bin) == 0 && z.count(bin) == 0;
-    return n;
-}
-
-size_t
-pairOnly(const std::set<std::string>& x, const std::set<std::string>& y,
-         const std::set<std::string>& z)
-{
-    size_t n = 0;
-    for (const auto& bin : x)
-        n += y.count(bin) != 0 && z.count(bin) == 0;
-    return n;
-}
-
+/** The bins of @p x that are in @p y exactly when @p in_y and in @p z
+ *  exactly when @p in_z: one region of the three-set Venn. */
 std::set<std::string>
-center(const std::set<std::string>& x, const std::set<std::string>& y,
-       const std::set<std::string>& z)
+region(const std::set<std::string>& x, const std::set<std::string>& y,
+       const std::set<std::string>& z, bool in_y, bool in_z)
 {
     std::set<std::string> out;
     for (const auto& bin : x)
-        if (y.count(bin) != 0 && z.count(bin) != 0)
+        if ((y.count(bin) != 0) == in_y && (z.count(bin) != 0) == in_z)
             out.insert(bin);
     return out;
 }
@@ -178,14 +155,19 @@ main(int argc, char** argv)
     const auto& A = runs[0].bins; // OrtLite
     const auto& B = runs[1].bins; // TVMLite
     const auto& C = runs[2].bins; // TrtLite
-    const auto shared_bins = center(A, B, C);
+    const auto shared_bins = region(A, B, C, true, true);
+    // The six single- and two-backend regions, in JSON key order.
+    const std::pair<const char*, size_t> regions[] = {
+        {"only_ortlite", region(A, B, C, false, false).size()},
+        {"only_tvmlite", region(B, A, C, false, false).size()},
+        {"only_trtlite", region(C, A, B, false, false).size()},
+        {"ortlite_tvmlite", region(A, B, C, true, false).size()},
+        {"ortlite_trtlite", region(A, C, B, true, false).size()},
+        {"tvmlite_trtlite", region(B, C, A, true, false).size()}};
     std::printf("\npass-sequence bin Venn (paper Fig. 8, pass space)\n");
-    std::printf("  unique(OrtLite)=%zu unique(TVMLite)=%zu "
-                "unique(TrtLite)=%zu\n",
-                minus2(A, B, C), minus2(B, A, C), minus2(C, A, B));
-    std::printf("  ort&tvm=%zu ort&trt=%zu tvm&trt=%zu\n",
-                pairOnly(A, B, C), pairOnly(A, C, B), pairOnly(B, C, A));
-    std::printf("  common(all three)=%zu\n", shared_bins.size());
+    for (const auto& [name, size] : regions)
+        std::printf("  %s=%zu", name, size);
+    std::printf("\n  all_three=%zu\n", shared_bins.size());
 
     const bool all_nonempty = !A.empty() && !B.empty() && !C.empty();
     const bool all_identical = runs[0].shardsIdentical &&
@@ -194,55 +176,32 @@ main(int argc, char** argv)
     const bool ok =
         all_nonempty && !shared_bins.empty() && all_identical;
 
-    FILE* out = options.outPath.empty()
-                    ? stdout
-                    : std::fopen(options.outPath.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
+    bench::Json json;
+    json.beginObject()
+        .field("bench", "pass_venn")
+        .field("driver", "bench/bench_pass_venn --iters " +
+                             std::to_string(options.iters) + " --seed " +
+                             std::to_string(options.seed));
+    json.key("backends").beginObject();
+    for (const auto& run : runs)
+        json.key(run.backend)
+            .beginObject(true)
+            .field("iterations", run.merged.iterations)
+            .field("distinct_sequences", run.merged.instanceKeys.size())
+            .field("seq_bins", run.bins.size())
+            .field("bugs", run.merged.bugs.size())
+            .field("shards_1_2_4_identical", run.shardsIdentical)
+            .endObject();
+    json.endObject();
+    json.key("venn").beginObject();
+    for (const auto& [name, size] : regions)
+        json.field(name, size);
+    json.field("all_three", shared_bins.size());
+    json.key("all_three_bins").beginArray(true);
+    for (const auto& bin : shared_bins)
+        json.value(bin);
+    json.endArray().endObject().field("ok", ok).endObject();
+    if (!bench::writeJson(options.outPath, json))
         return 1;
-    }
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"bench\": \"pass_venn\",\n");
-    std::fprintf(out, "  \"driver\": \"bench/bench_pass_venn --iters %zu "
-                      "--seed %llu\",\n",
-                 options.iters,
-                 static_cast<unsigned long long>(options.seed));
-    std::fprintf(out, "  \"backends\": {\n");
-    for (size_t i = 0; i < runs.size(); ++i) {
-        const auto& run = runs[i];
-        std::fprintf(out,
-                     "    \"%s\": {\"iterations\": %zu, "
-                     "\"distinct_sequences\": %zu, \"seq_bins\": %zu, "
-                     "\"bugs\": %zu, \"shards_1_2_4_identical\": %s}%s\n",
-                     run.backend.c_str(), run.merged.iterations,
-                     run.merged.instanceKeys.size(), run.bins.size(),
-                     run.merged.bugs.size(),
-                     run.shardsIdentical ? "true" : "false",
-                     i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(out, "  },\n");
-    std::fprintf(out, "  \"venn\": {\n");
-    std::fprintf(out, "    \"only_ortlite\": %zu,\n", minus2(A, B, C));
-    std::fprintf(out, "    \"only_tvmlite\": %zu,\n", minus2(B, A, C));
-    std::fprintf(out, "    \"only_trtlite\": %zu,\n", minus2(C, A, B));
-    std::fprintf(out, "    \"ortlite_tvmlite\": %zu,\n",
-                 pairOnly(A, B, C));
-    std::fprintf(out, "    \"ortlite_trtlite\": %zu,\n",
-                 pairOnly(A, C, B));
-    std::fprintf(out, "    \"tvmlite_trtlite\": %zu,\n",
-                 pairOnly(B, C, A));
-    std::fprintf(out, "    \"all_three\": %zu,\n", shared_bins.size());
-    std::fprintf(out, "    \"all_three_bins\": [");
-    size_t printed = 0;
-    for (const auto& bin : shared_bins) {
-        std::fprintf(out, "%s\"%s\"", printed++ > 0 ? ", " : "",
-                     bin.c_str());
-    }
-    std::fprintf(out, "]\n");
-    std::fprintf(out, "  },\n");
-    std::fprintf(out, "  \"ok\": %s\n", ok ? "true" : "false");
-    std::fprintf(out, "}\n");
-    if (out != stdout)
-        std::fclose(out);
     return ok ? 0 : 1;
 }

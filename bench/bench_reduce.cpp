@@ -30,24 +30,18 @@
  *   ./bench/bench_reduce [--seed N] [--iters N] [--out FILE]
  *                        [--report-dir DIR]
  */
-#include <chrono>
 #include <thread>
 
 #include "bench_util.h"
-#include "fuzz/pass_fuzzer.h"
 #include "graph/validate.h"
+#include "json.h"
 #include "reduce/reducer.h"
 
 namespace {
 
 using namespace nnsmith;
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using bench::Clock;
+using bench::secondsSince;
 
 double
 median(std::vector<double> values)
@@ -59,52 +53,6 @@ median(std::vector<double> values)
     return values.size() % 2 == 1
                ? values[mid]
                : 0.5 * (values[mid - 1] + values[mid]);
-}
-
-fuzz::ParallelCampaignConfig
-nnsmithCampaign(int shards, uint64_t seed, size_t iters, bool minimize,
-                const std::string& report_dir,
-                fuzz::WorkerMode mode = fuzz::WorkerMode::kThread)
-{
-    fuzz::ParallelCampaignConfig config;
-    config.campaign.virtualBudget = 240ll * 60 * 1000;
-    config.campaign.maxIterations = iters;
-    config.campaign.coverageComponent = "tvmlite";
-    config.campaign.sampleEveryMinutes = 10;
-    config.campaign.minimize = minimize;
-    config.campaign.reportDir = report_dir;
-    config.shards = shards;
-    config.workerMode = mode;
-    config.masterSeed = seed;
-    config.fuzzerFactory = [](uint64_t iteration_seed) {
-        fuzz::NNSmithFuzzer::Options options;
-        options.generator.targetOpNodes = 10; // §5.1 default size
-        options.runValueSearch = false;       // oracle quality unaffected
-        return std::make_unique<fuzz::NNSmithFuzzer>(options,
-                                                     iteration_seed);
-    };
-    config.backendFactory = [] { return difftest::makeAllBackends(); };
-    return config;
-}
-
-fuzz::ParallelCampaignConfig
-sequenceCampaign(uint64_t seed, size_t iters)
-{
-    fuzz::ParallelCampaignConfig config;
-    config.campaign.virtualBudget = 240ll * 60 * 1000;
-    config.campaign.maxIterations = iters;
-    config.campaign.coverageComponent = "tvmlite";
-    config.campaign.sampleEveryMinutes = 10;
-    config.campaign.minimize = true;
-    config.shards = 1;
-    config.masterSeed = seed;
-    config.fuzzerFactory = [](uint64_t iteration_seed) {
-        return std::make_unique<fuzz::PassSequenceFuzzer>(iteration_seed);
-    };
-    config.backendFactory = [] {
-        return std::vector<std::unique_ptr<backends::Backend>>{};
-    };
-    return config;
 }
 
 /** Reduction quality over one campaign's deduplicated bug map. */
@@ -157,14 +105,15 @@ main(int argc, char** argv)
 
     // ---- 1 + 4. graph reduction & overhead ---------------------------
     auto start = Clock::now();
-    const auto baseline = fuzz::runParallelCampaign(nnsmithCampaign(
-        1, options.seed, options.iters, /*minimize=*/false, ""));
+    auto unminimized =
+        bench::trioCampaign(options.seed, options.iters, "tvmlite", "");
+    unminimized.campaign.minimize = false;
+    const auto baseline = fuzz::runParallelCampaign(unminimized);
     const double off_seconds = secondsSince(start);
 
     start = Clock::now();
-    const auto minimized = fuzz::runParallelCampaign(nnsmithCampaign(
-        1, options.seed, options.iters, /*minimize=*/true,
-        options.reportDir));
+    const auto minimized = fuzz::runParallelCampaign(bench::trioCampaign(
+        options.seed, options.iters, "tvmlite", options.reportDir));
     const double on_seconds = secondsSince(start);
 
     const ReductionAudit graphs = audit(minimized, backend_list);
@@ -183,7 +132,7 @@ main(int argc, char** argv)
 
     // ---- 2. sequence reduction ---------------------------------------
     const auto seq_result = fuzz::runParallelCampaign(
-        sequenceCampaign(options.seed, options.iters));
+        bench::sequenceCampaign(options.seed, options.iters, ""));
     const ReductionAudit seqs = audit(seq_result, {});
     const double pass_ratio = median(seqs.ratios);
     std::printf("sequence reduction: %zu flagged, %zu minimized, "
@@ -191,11 +140,11 @@ main(int argc, char** argv)
                 seqs.withRepro, seqs.minimized, seqs.verified, pass_ratio);
 
     // ---- 3. shard invariance with --minimize -------------------------
-    const auto two = fuzz::runParallelCampaign(nnsmithCampaign(
-        2, options.seed, options.iters, /*minimize=*/true, "",
+    const auto two = fuzz::runParallelCampaign(bench::trioCampaign(
+        options.seed, options.iters, "tvmlite", "", "", 2,
         options.workerMode));
-    const auto four = fuzz::runParallelCampaign(nnsmithCampaign(
-        4, options.seed, options.iters, /*minimize=*/true, "",
+    const auto four = fuzz::runParallelCampaign(bench::trioCampaign(
+        options.seed, options.iters, "tvmlite", "", "", 4,
         options.workerMode));
     const std::string reference = fuzz::renderCampaignResult(minimized);
     const bool identical = fuzz::renderCampaignResult(two) == reference &&
@@ -215,58 +164,46 @@ main(int argc, char** argv)
                               seqs.verified == seqs.minimized;
     const bool ratios_ok = node_ratio <= 0.5 && pass_ratio <= 0.5;
 
-    FILE* out = options.outPath.empty()
-                    ? stdout
-                    : std::fopen(options.outPath.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", options.outPath.c_str());
+    bench::Json json;
+    json.beginObject()
+        .field("bench", "reduce")
+        .field("driver", "bench/bench_reduce --iters " +
+                             std::to_string(options.iters) + " --seed " +
+                             std::to_string(options.seed))
+        .field("hardware_threads", std::thread::hardware_concurrency());
+    json.key("graph_reduction")
+        .beginObject()
+        .field("campaign_iterations", minimized.iterations)
+        .field("raw_bug_reports", baseline.bugs.size())
+        .field("minimized_bug_reports", minimized.bugs.size())
+        .field("flagged_with_repro", graphs.withRepro)
+        .field("minimized", graphs.minimized)
+        .field("revalidated", graphs.validated)
+        .field("fingerprint_verified", graphs.verified)
+        .field("median_node_ratio", node_ratio, 3)
+        .endObject();
+    json.key("sequence_reduction")
+        .beginObject()
+        .field("flagged_with_repro", seqs.withRepro)
+        .field("minimized", seqs.minimized)
+        .field("fingerprint_verified", seqs.verified)
+        .field("median_pass_ratio", pass_ratio, 3)
+        .endObject();
+    json.key("sharded_campaign")
+        .beginObject()
+        .field("merged_results_identical_1_2_4", identical)
+        .endObject();
+    json.key("overhead")
+        .beginObject()
+        .field("note", "same campaign, minimize off vs on; "
+                       "pass_fuzz_reference is BENCH_pass_fuzz.json "
+                       "campaign_pass_fuzz_tvmlite.iters_per_sec")
+        .field("iters_per_sec_minimize_off", off_ips, 3)
+        .field("iters_per_sec_minimize_on", on_ips, 3)
+        .field("pass_fuzz_reference", 13.620, 3)
+        .endObject()
+        .endObject();
+    if (!bench::writeJson(options.outPath, json))
         return 1;
-    }
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"bench\": \"reduce\",\n");
-    std::fprintf(out, "  \"driver\": \"bench/bench_reduce --iters %zu "
-                      "--seed %llu\",\n",
-                 options.iters,
-                 static_cast<unsigned long long>(options.seed));
-    std::fprintf(out, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(out, "  \"graph_reduction\": {\n");
-    std::fprintf(out, "    \"campaign_iterations\": %zu,\n",
-                 minimized.iterations);
-    std::fprintf(out, "    \"raw_bug_reports\": %zu,\n",
-                 baseline.bugs.size());
-    std::fprintf(out, "    \"minimized_bug_reports\": %zu,\n",
-                 minimized.bugs.size());
-    std::fprintf(out, "    \"flagged_with_repro\": %zu,\n",
-                 graphs.withRepro);
-    std::fprintf(out, "    \"minimized\": %zu,\n", graphs.minimized);
-    std::fprintf(out, "    \"revalidated\": %zu,\n", graphs.validated);
-    std::fprintf(out, "    \"fingerprint_verified\": %zu,\n",
-                 graphs.verified);
-    std::fprintf(out, "    \"median_node_ratio\": %.3f\n  },\n",
-                 node_ratio);
-    std::fprintf(out, "  \"sequence_reduction\": {\n");
-    std::fprintf(out, "    \"flagged_with_repro\": %zu,\n", seqs.withRepro);
-    std::fprintf(out, "    \"minimized\": %zu,\n", seqs.minimized);
-    std::fprintf(out, "    \"fingerprint_verified\": %zu,\n",
-                 seqs.verified);
-    std::fprintf(out, "    \"median_pass_ratio\": %.3f\n  },\n",
-                 pass_ratio);
-    std::fprintf(out, "  \"sharded_campaign\": {\n");
-    std::fprintf(out, "    \"merged_results_identical_1_2_4\": %s\n"
-                      "  },\n",
-                 identical ? "true" : "false");
-    std::fprintf(out, "  \"overhead\": {\n");
-    std::fprintf(out, "    \"note\": \"same campaign, minimize off vs "
-                      "on; pass_fuzz_reference is "
-                      "BENCH_pass_fuzz.json "
-                      "campaign_pass_fuzz_tvmlite.iters_per_sec\",\n");
-    std::fprintf(out, "    \"iters_per_sec_minimize_off\": %.3f,\n",
-                 off_ips);
-    std::fprintf(out, "    \"iters_per_sec_minimize_on\": %.3f,\n",
-                 on_ips);
-    std::fprintf(out, "    \"pass_fuzz_reference\": 13.620\n  }\n}\n");
-    if (out != stdout)
-        std::fclose(out);
     return all_minimized && all_verified && ratios_ok && identical ? 0 : 1;
 }

@@ -54,7 +54,7 @@
  *                   (default 1 = off). Per-lane outcomes are
  *                   bit-identical to sequential runs, so merged
  *                   results stay byte-identical across shard counts
- *                   and worker modes at any fixed N (bench_batch
+ *                   and worker modes at any fixed N (bench_identity
  *                   gates this). Baseline fuzzers ignore the flag.
  *   --out FILE      machine-readable bench output (the BENCH_*.json
  *                   files); consumed by the individual drivers
@@ -88,6 +88,7 @@
 #define NNSMITH_BENCH_BENCH_UTIL_H
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -100,11 +101,21 @@
 #include "baselines/tzer.h"
 #include "fuzz/campaign.h"
 #include "fuzz/parallel_campaign.h"
+#include "fuzz/pass_fuzzer.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace nnsmith::bench {
+
+using Clock = std::chrono::steady_clock;
+
+/** Wall-clock seconds since @p start. */
+inline double
+secondsSince(Clock::time_point start)
+{
+    return std::chrono::duration<double>(Clock::now() - start).count();
+}
 
 /** Parsed common CLI options. */
 struct BenchOptions {
@@ -277,6 +288,21 @@ sutBackends(const SystemUnderTest& sut, uint64_t pass_fuzz_seed = 0)
     };
 }
 
+/** NNSmith at the §5.1 default size (10 op nodes); @p search runs the
+ *  gradient value search, @p batch / @p sweep are --batch's lanes. */
+inline fuzz::FuzzerFactory
+nnsmithFactory(bool search = true, size_t batch = 1, bool sweep = true)
+{
+    return [=](uint64_t seed) {
+        fuzz::NNSmithFuzzer::Options options;
+        options.generator.targetOpNodes = 10;
+        options.runValueSearch = search;
+        options.batch = batch;
+        options.batchSweep = sweep;
+        return std::make_unique<fuzz::NNSmithFuzzer>(options, seed);
+    };
+}
+
 /** Make the standard iteration-independent fuzzer by name with
  *  figure-default options (Tzer is stateful: baselines::tzerFactory).
  *  @p batch only affects NNSmith (input lanes per generated graph);
@@ -284,12 +310,8 @@ sutBackends(const SystemUnderTest& sut, uint64_t pass_fuzz_seed = 0)
 inline std::unique_ptr<fuzz::Fuzzer>
 makeFuzzer(const std::string& name, uint64_t seed, size_t batch = 1)
 {
-    if (name == "NNSmith") {
-        fuzz::NNSmithFuzzer::Options options;
-        options.generator.targetOpNodes = 10; // §5.1 default size
-        options.batch = batch;
-        return std::make_unique<fuzz::NNSmithFuzzer>(options, seed);
-    }
+    if (name == "NNSmith")
+        return nnsmithFactory(/*search=*/true, batch)(seed);
     if (name == "GraphFuzzer") {
         baselines::GraphFuzzerLite::Options options;
         options.targetOps = 10;
@@ -300,6 +322,113 @@ makeFuzzer(const std::string& name, uint64_t seed, size_t batch = 1)
     fatal("unknown fuzzer " + name);
 }
 
+/** A one-shard thread campaign of @p fuzzer against @p backends with
+ *  the figure defaults: @p minutes of virtual time, @p iters real
+ *  iterations, a coverage sample every 10 virtual minutes, coverage
+ *  counted under @p component. Callers set the rest. */
+inline fuzz::ParallelCampaignConfig
+campaignConfig(uint64_t seed, size_t iters, const std::string& component,
+               fuzz::FuzzerFactory fuzzer, fuzz::BackendFactory backends,
+               int minutes = 240)
+{
+    fuzz::ParallelCampaignConfig config;
+    config.campaign.virtualBudget =
+        static_cast<VirtualMs>(minutes) * 60 * 1000;
+    config.campaign.maxIterations = iters;
+    config.campaign.coverageComponent = component;
+    config.campaign.sampleEveryMinutes = 10;
+    config.masterSeed = seed;
+    config.fuzzerFactory = std::move(fuzzer);
+    config.backendFactory = std::move(backends);
+    return config;
+}
+
+/**
+ * The heavy-tensor NNSmith workload of bench_kernels and
+ * bench_pass_fuzz. 2x dimension caps with a floor of 16 pin every
+ * generated tensor to the regime the typed kernels target (the solver
+ * would otherwise prefer tiny dims, leaving the campaign
+ * generation-bound). The native solver samples dims across the whole
+ * allowed range (z3 returns corner models) and keeps generation cost
+ * from masking execution cost. The op pool is the element-loop
+ * families the kernel layer serves (linear per-element cost; Mod is
+ * deliberately absent). The search is iteration-capped: a huge time
+ * budget makes maxIterations the binding constraint, so per-iteration
+ * work is deterministic and wall-clock time measures execution speed.
+ */
+inline fuzz::FuzzerFactory
+heavyTensorFactory()
+{
+    fuzz::NNSmithFuzzer::Options options;
+    options.generator.targetOpNodes = 10; // §5.1 default model size
+    options.generator.dimCapScale = 2;
+    options.generator.dimFloor = 16;
+    options.generator.solverKind = solver::SolverKind::kNative;
+    options.generator.opAllowlist = {
+        "Add",      "Sub",       "Mul",       "Div",       "Pow",
+        "Max",      "Min",       "Equal",     "Greater",   "Less",
+        "And",      "Or",        "Xor",       "Relu",      "LeakyRelu",
+        "Sigmoid",  "Tanh",      "Abs",       "Neg",       "Clip",
+        "Softmax",  "Where",     "Cast",      "ReduceSum", "ReduceMean",
+        "ReduceMax", "ReduceMin", "ReduceProd", "ArgMax",  "ArgMin"};
+    options.search.timeBudgetMs = 1e12;
+    options.search.maxIterations = 32;
+    return [options](uint64_t seed) {
+        return std::make_unique<fuzz::NNSmithFuzzer>(options, seed);
+    };
+}
+
+/** PassSequenceFuzzer over TIR (fuzz/pass_fuzzer.h). */
+inline fuzz::FuzzerFactory
+passSequenceFactory()
+{
+    return [](uint64_t seed) {
+        return std::make_unique<fuzz::PassSequenceFuzzer>(seed);
+    };
+}
+
+/** TIR pass-sequence campaigns interpret TIR themselves: no backend. */
+inline std::vector<std::unique_ptr<backends::Backend>>
+noBackends()
+{
+    return {};
+}
+
+/** The minimizing acceptance campaign of the corpus, reduce and
+ *  identity benches: NNSmith (value search off; oracle quality is
+ *  unaffected) against the difftest trio, writing reports to
+ *  @p report_dir and replaying @p corpus_dir first, when given. */
+inline fuzz::ParallelCampaignConfig
+trioCampaign(uint64_t seed, size_t iters, const std::string& component,
+             const std::string& report_dir,
+             const std::string& corpus_dir = "", int shards = 1,
+             fuzz::WorkerMode mode = fuzz::WorkerMode::kThread)
+{
+    auto config = campaignConfig(seed, iters, component,
+                                 nnsmithFactory(/*search=*/false),
+                                 difftest::makeAllBackends);
+    config.campaign.minimize = true;
+    config.campaign.reportDir = report_dir;
+    config.campaign.corpusDir = corpus_dir;
+    config.shards = shards;
+    config.workerMode = mode;
+    return config;
+}
+
+/** trioCampaign's TIR counterpart: PassSequenceFuzzer, coverage under
+ *  tvmlite, one shard. */
+inline fuzz::ParallelCampaignConfig
+sequenceCampaign(uint64_t seed, size_t iters, const std::string& report_dir,
+                 const std::string& corpus_dir = "")
+{
+    auto config = campaignConfig(seed, iters, "tvmlite",
+                                 passSequenceFactory(), noBackends);
+    config.campaign.minimize = true;
+    config.campaign.reportDir = report_dir;
+    config.campaign.corpusDir = corpus_dir;
+    return config;
+}
+
 /** Run one fuzzer against one system under test on the campaign
  *  fabric. The figures are byte-identical for any shard count; Tzer
  *  keeps a mutation corpus across iterations, so it always runs as
@@ -308,27 +437,23 @@ inline fuzz::CampaignResult
 runOne(const std::string& fuzzer_name, const SystemUnderTest& sut,
        const BenchOptions& options, size_t iter_cap)
 {
-    fuzz::ParallelCampaignConfig parallel;
+    // Telemetry (metrics frames, progress aggregator) attaches inside
+    // runParallelCampaign from the process-global flags initTelemetry
+    // set — inert either way.
+    fuzz::ParallelCampaignConfig parallel = campaignConfig(
+        options.seed, iter_cap, sut.component,
+        [fuzzer_name, batch = options.batch](uint64_t seed) {
+            return makeFuzzer(fuzzer_name, seed, batch);
+        },
+        sutBackends(sut, options.passFuzz ? options.seed | 1 : 0),
+        options.minutes);
     fuzz::CampaignConfig& config = parallel.campaign;
-    config.virtualBudget =
-        static_cast<VirtualMs>(options.minutes) * 60 * 1000;
-    config.maxIterations = iter_cap;
-    config.coverageComponent = sut.component;
-    config.sampleEveryMinutes = 10;
     config.minimize = options.minimize;
     config.reportDir = options.reportDir;
     config.corpusDir = options.corpusDir;
     config.corpusGuided = options.corpusGuided;
     parallel.shards = options.shards;
     parallel.workerMode = options.workerMode;
-    parallel.masterSeed = options.seed;
-    // Telemetry (metrics frames, progress aggregator) attaches inside
-    // runParallelCampaign from the process-global flags initTelemetry
-    // set — inert either way.
-    parallel.fuzzerFactory = [fuzzer_name,
-                              batch = options.batch](uint64_t seed) {
-        return makeFuzzer(fuzzer_name, seed, batch);
-    };
     if (fuzzer_name == "Tzer") {
         // Tzer fuzzes TIR programs, not graphs: it has no graph repros
         // to replay or mutate, so --corpus and --corpus-guided are
@@ -338,8 +463,6 @@ runOne(const std::string& fuzzer_name, const SystemUnderTest& sut,
         config.corpusDir.clear();
         config.corpusGuided = false;
     }
-    parallel.backendFactory =
-        sutBackends(sut, options.passFuzz ? options.seed | 1 : 0);
     return fuzz::runParallelCampaign(parallel);
 }
 

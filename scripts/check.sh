@@ -47,11 +47,26 @@ if ! ls build/repro-smoke/*.repro.txt >/dev/null 2>&1; then
 fi
 test -s build/repro-smoke/index.tsv
 
-echo "== parallel probe: scaling + identity across the worker matrix =="
-# Exits nonzero unless every {thread, process} x shards {1, 2, 4} cell
-# renders byte-identically (fuzz::renderCampaignResult) — with the
-# value search on.
-./build/bench/bench_parallel --iters 100
+echo "== identity probe: every axis of the merge contract =="
+# One minimizing, corpus-replaying, value-searching campaign across
+# {thread, process} x shards {1, 2, 4}, then the same matrix with
+# telemetry on (held to the telemetry-off reference), with batch 4
+# and the batched sweep on/off, and with corpus-guided mutation.
+# Exits nonzero unless every cell renders byte-identically
+# (fuzz::renderCampaignResult + report tree), each section found bugs,
+# wrote index.tsv and replayed its corpus, cases/sec at --batch 16 is
+# >= 1.5x --batch 1, and guided campaigns reach at least the
+# baseline's pass bins and deduped bugs. Only the telemetry section
+# runs with telemetry on, so the trace/metrics files it writes are the
+# smoke source for the validation below.
+rm -f build/trace-smoke.jsonl build/metrics-smoke.json
+./build/bench/bench_identity --iters 60 \
+    --out build/BENCH_identity_smoke.json \
+    --trace-out build/trace-smoke.jsonl --metrics-out build/metrics-smoke.json
+
+echo "== telemetry output: emitted trace/metrics files are valid =="
+scripts/check_docs.sh --validate-telemetry \
+    build/trace-smoke.jsonl build/metrics-smoke.json
 
 echo "== tzer probe: fig8 prints the same in thread and process workers =="
 # Tzer keeps a corpus across iterations and runs as one in-order shard;
@@ -71,33 +86,6 @@ echo "== pass venn probe: three-backend pass fuzzing, shards {1,2,4} =="
 # byte-identically.
 ./build/bench/bench_pass_venn --iters 60 --out build/BENCH_pass_venn_smoke.json
 
-echo "== fabric probe: thread vs process workers merge byte-identically =="
-# A 60-iteration minimizing campaign across {thread, process} x
-# shards {1, 2, 4} — covering --worker-mode process --workers 2 vs
-# --workers 1 — exits nonzero unless every cell's merged result and
-# repro report tree match. The telemetry flags double as the smoke
-# source for the trace/metrics validation below.
-rm -f build/trace-smoke.jsonl build/metrics-smoke.json
-./build/bench/bench_fabric --iters 60 --out build/BENCH_fabric_smoke.json \
-    --trace-out build/trace-smoke.jsonl --metrics-out build/metrics-smoke.json
-
-echo "== observability probe: telemetry inertness across the matrix =="
-# Exits nonzero unless merged results, report trees and regressions.tsv
-# are byte-identical with telemetry {off, on} across {thread, process}
-# x shards {1, 2, 4} (the inertness contract, DESIGN.md "Telemetry").
-./build/bench/bench_observability --iters 60 \
-    --out build/BENCH_observability_smoke.json
-
-echo "== telemetry output: emitted trace/metrics files are valid =="
-scripts/check_docs.sh --validate-telemetry \
-    build/trace-smoke.jsonl build/metrics-smoke.json
-
-echo "== batch probe: batched cases speed up and stay byte-identical =="
-# Exits nonzero unless cases/sec at --batch 16 is >= 1.5x --batch 1 and
-# merged results, report trees and regressions.tsv are byte-identical
-# batched-vs-unbatched across {thread, process} x shards {1, 2, 4}.
-./build/bench/bench_batch --iters 60 --out build/BENCH_batch_smoke.json
-
 echo "== corpus replay probe: re-check the emitted repros =="
 # Replaying a corpus just emitted by the same binary must re-fire every
 # fingerprint; bench_corpus --corpus exits nonzero unless all outcomes
@@ -105,13 +93,9 @@ echo "== corpus replay probe: re-check the emitted repros =="
 # known bug, not that anything was fixed).
 ./build/bench/bench_corpus --corpus build/repro-smoke
 
-echo "== corpus-guided probe: guided >= baseline, shard/mode identity =="
-# Matched-iteration campaigns with --corpus-guided off vs on: the
-# guided runs must discover at least the baseline's coverage bins and
-# deduped bugs, and the guided graph campaign must merge
-# byte-identically across {thread, process} x shards {1, 2, 4}.
-./build/bench/bench_corpus_guided --iters 60 \
-    --out build/BENCH_corpus_guided_smoke.json
+echo "== bench output: every --out file above is valid JSON =="
+scripts/check_docs.sh --validate-json build/BENCH_reduce_smoke.json \
+    build/BENCH_pass_venn_smoke.json build/BENCH_identity_smoke.json
 
 if [[ "${1:-}" != "--fast" ]]; then
     echo "== strict: -Wall -Wextra -Werror =="

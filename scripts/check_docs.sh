@@ -5,15 +5,37 @@
 #
 # Run standalone or via scripts/check.sh / CI.
 #
+# It also parses every committed BENCH_*.json record as JSON.
+#
 # Second mode:
 #   scripts/check_docs.sh --validate-telemetry TRACE.jsonl METRICS.json
 # validates files emitted by --trace-out / --metrics-out: every trace
 # line must be a standalone JSON object with the chrome-trace
 # complete-span fields, and the metrics snapshot must be a JSON object
 # with counters/gauges/histograms maps.
+#
+# Third mode:
+#   scripts/check_docs.sh --validate-json FILE...
+# parses each FILE (a bench driver's --out output) as one JSON document.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+validate_json() {
+    python3 - "$@" <<'EOF'
+import json, sys
+for path in sys.argv[1:]:
+    with open(path) as f:
+        json.load(f)  # raises on malformed output
+print(f"check_docs: {len(sys.argv) - 1} JSON files parse")
+EOF
+}
+
+if [[ "${1:-}" == "--validate-json" ]]; then
+    shift
+    validate_json "$@"
+    exit 0
+fi
 
 if [[ "${1:-}" == "--validate-telemetry" ]]; then
     trace="${2:?usage: check_docs.sh --validate-telemetry TRACE METRICS}"
@@ -79,14 +101,20 @@ while IFS= read -r record; do
     fi
 done < <(grep -oE 'BENCH_[A-Za-z0-9_]+\.json' README.md | sort -u)
 
+# Every committed record must parse: nothing else reads them as JSON.
+if ! validate_json BENCH_*.json; then
+    echo "check_docs: a committed BENCH_*.json record is not valid JSON"
+    fail=1
+fi
+
 # The recorded scaling numbers are only meaningful relative to the
 # core count they were measured on: README's "Sharded campaigns"
 # section must state the hardware_threads value actually recorded in
-# BENCH_parallel_campaign.json.
-threads="$(grep -oE '"hardware_threads": [0-9]+' BENCH_parallel_campaign.json \
+# BENCH_identity.json.
+threads="$(grep -oE '"hardware_threads": [0-9]+' BENCH_identity.json \
     | grep -oE '[0-9]+')"
 if ! grep -q "hardware_threads=$threads" README.md; then
-    echo "check_docs: README.md does not state hardware_threads=$threads (the value recorded in BENCH_parallel_campaign.json)"
+    echo "check_docs: README.md does not state hardware_threads=$threads (the value recorded in BENCH_identity.json)"
     fail=1
 fi
 

@@ -87,6 +87,7 @@ runCase(const graph::Graph& graph, const exec::LeafValues& leaves,
             // NaN/Inf anywhere in the reference: no comparison (§2.3's
             // numeric-validity requirement).
             verdict.verdict = Verdict::kSkippedNaN;
+            obs::counterAdd("oracle.skipped_nan");
         } else if (!allClose(o3.outputs, reference.outputs, options)) {
             obs::counterAdd("oracle.mismatches");
             verdict.verdict = Verdict::kWrongResult;
@@ -172,6 +173,7 @@ runCaseBatch(const graph::Graph& graph,
                 obs::counterAdd("oracle.crashes");
             } else if (!result.referenceValid) {
                 verdict.verdict = Verdict::kSkippedNaN;
+                obs::counterAdd("oracle.skipped_nan");
             } else if (!allClose(o3.outputs, references[l].outputs,
                                  options)) {
                 obs::counterAdd("oracle.mismatches");

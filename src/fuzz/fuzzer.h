@@ -145,7 +145,7 @@ class NNSmithFuzzer final : public Fuzzer {
          * When batch > 1, run lanes through the batched sweep executor
          * (exec/batched.h: one topo walk, SIMD kernel sweeps) instead
          * of per-lane sequential cases. Outcomes are bit-identical
-         * either way (bench_batch gates this); off exists only as the
+         * either way (bench_identity gates this); off exists only as the
          * identity-check baseline.
          */
         bool batchSweep = true;

@@ -114,10 +114,6 @@ MetricsSnapshot::mergeFrom(const MetricsSnapshot& other)
         histograms[name].mergeFrom(data);
 }
 
-namespace {
-
-/** Metric names are ASCII identifiers by convention; escape anyway so
- *  an odd name can never produce invalid JSON. */
 void
 appendJsonString(std::string& out, const std::string& text)
 {
@@ -141,8 +137,6 @@ appendJsonString(std::string& out, const std::string& text)
     }
     out += '"';
 }
-
-} // namespace
 
 std::string
 MetricsSnapshot::renderJson() const

@@ -111,6 +111,11 @@ void metricsMergeExternal(const MetricsSnapshot& snapshot);
  *  coordinator metrics are not double-counted. */
 void metricsReset();
 
+/** Append @p text to @p out as a quoted JSON string literal, escaping
+ *  quotes, backslashes and control characters — the one escaper of
+ *  every JSON text the repo writes (metrics snapshots, bench records). */
+void appendJsonString(std::string& out, const std::string& text);
+
 } // namespace nnsmith::obs
 
 #endif // NNSMITH_OBS_METRICS_H

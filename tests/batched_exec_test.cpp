@@ -18,6 +18,7 @@
 #include "exec/batched.h"
 #include "fuzz/fuzzer.h"
 #include "gen/generator.h"
+#include "obs/metrics.h"
 
 namespace nnsmith {
 namespace {
@@ -231,6 +232,50 @@ TEST(BatchedExec, RunCaseBatchMatchesRunCase)
         ++checked;
     }
     EXPECT_GE(checked, 3);
+}
+
+/** oracle.comparisons also counts NaN-skipped verdicts, so comparable
+ *  cases are comparisons − crashes − oracle.skipped_nan: both oracle
+ *  paths must count one skip per backend per NaN lane. */
+TEST(BatchedExec, NaNSkipsAreCountedPerBackendPerLane)
+{
+    Graph graph;
+    const int a = addInput(graph, DType::kF32, Shape{{2}});
+    const int b = addInput(graph, DType::kF32, Shape{{2}});
+    appendBinary(graph, BinaryKind::kAdd, a, b);
+    exec::LeafValues clean, nan;
+    clean.emplace(a, Tensor::fromVector<float>({1.0f, 2.0f}));
+    clean.emplace(b, Tensor::fromVector<float>({3.0f, 4.0f}));
+    nan.emplace(a, Tensor::fromVector<float>({std::nanf(""), 2.0f}));
+    nan.emplace(b, Tensor::fromVector<float>({3.0f, 4.0f}));
+
+    auto owned = difftest::makeAllBackends();
+    std::vector<backends::Backend*> raw;
+    for (auto& backend : owned)
+        raw.push_back(backend.get());
+    const auto skipped = [] {
+        const auto counters = obs::metricsSnapshot().counters;
+        const auto it = counters.find("oracle.skipped_nan");
+        return it == counters.end() ? uint64_t{0} : it->second;
+    };
+
+    obs::metricsReset();
+    obs::setMetricsEnabled(true);
+    const auto single = difftest::runCase(graph, nan, raw);
+    const uint64_t after_single = skipped();
+    const auto batched =
+        difftest::runCaseBatch(graph, {nan, clean, nan}, raw);
+    const uint64_t after_batch = skipped();
+    obs::setMetricsEnabled(false);
+    obs::metricsReset();
+
+    for (const auto& verdict : single.verdicts)
+        EXPECT_EQ(verdict.verdict, difftest::Verdict::kSkippedNaN);
+    EXPECT_EQ(after_single, raw.size());
+    EXPECT_EQ(after_batch - after_single, 2 * raw.size());
+    ASSERT_EQ(batched.size(), 3u);
+    for (const auto& verdict : batched[1].verdicts)
+        EXPECT_EQ(verdict.verdict, difftest::Verdict::kPass);
 }
 
 /** Whole-fuzzer identity: a batched iteration with the sweep on must
