@@ -7,13 +7,15 @@
  *
  *  1. "emit": the 200-iteration NNSmith campaign against the full
  *     backend trio with --minimize on writes its repro corpus
- *     (29 fingerprints at the committed seed), and a PassSequenceFuzzer
- *     campaign writes a sequence corpus alongside in a second dir.
+ *     (29 fingerprints at the committed seed); minimizing
+ *     PassSequenceFuzzer campaigns write a TIR sequence corpus and an
+ *     OrtLite+TrtLite graph-pass sequence corpus alongside, one dir
+ *     each — every repro kind.
  *  2. "round trip": every emitted repro must satisfy
  *     renderRepro(parseRepro(text)) == text, byte for byte.
- *  3. "replay": replaying both corpora against the live oracle must
- *     classify every fingerprint still-fires (same code, same bugs —
- *     the seed regression suite property).
+ *  3. "replay": replaying the three corpora against the live oracles
+ *     must classify every fingerprint still-fires (same code, same
+ *     bugs — the seed regression suite property).
  *  4. "shard invariance": a campaign with --corpus + --minimize must
  *     produce byte-identical regressions.tsv and identical merged
  *     results for shards {1, 2, 4}.
@@ -129,6 +131,7 @@ main(int argc, char** argv)
             : std::filesystem::path(options.reportDir);
     const std::string graph_dir = (base / "graph").string();
     const std::string seq_dir = (base / "seq").string();
+    const std::string graph_seq_dir = (base / "graphseq").string();
     std::filesystem::remove_all(base);
 
     // ---- 1. emit the acceptance corpora ------------------------------
@@ -136,20 +139,28 @@ main(int argc, char** argv)
         options.seed, options.iters, "tvmlite", graph_dir));
     const auto seq_emitted = fuzz::runParallelCampaign(
         bench::sequenceCampaign(options.seed, options.iters, seq_dir));
+    const auto graph_seq_emitted = fuzz::runParallelCampaign(
+        bench::graphSequenceCampaign(options.seed, options.iters,
+                                     graph_seq_dir));
     const size_t graph_reports = corpus::loadCorpusIndex(graph_dir).size();
     const size_t seq_reports = corpus::loadCorpusIndex(seq_dir).size();
+    const size_t graph_seq_reports =
+        corpus::loadCorpusIndex(graph_seq_dir).size();
     std::printf("emitted: %zu graph repros (%zu deduped bugs), "
-                "%zu sequence repros (%zu deduped bugs)\n",
+                "%zu sequence repros (%zu deduped bugs), "
+                "%zu graph-pass sequence repros (%zu deduped bugs)\n",
                 graph_reports, emitted.bugs.size(), seq_reports,
-                seq_emitted.bugs.size());
+                seq_emitted.bugs.size(), graph_seq_reports,
+                graph_seq_emitted.bugs.size());
 
     // ---- 2. round trip -----------------------------------------------
     const RoundTrip graph_rt = auditRoundTrip(graph_dir);
     const RoundTrip seq_rt = auditRoundTrip(seq_dir);
+    const RoundTrip graph_seq_rt = auditRoundTrip(graph_seq_dir);
     std::printf("round trip: graph %zu/%zu byte-identical, "
-                "sequence %zu/%zu\n",
+                "sequence %zu/%zu, graph-pass sequence %zu/%zu\n",
                 graph_rt.identical, graph_rt.files, seq_rt.identical,
-                seq_rt.files);
+                seq_rt.files, graph_seq_rt.identical, graph_seq_rt.files);
 
     // ---- 3. replay ----------------------------------------------------
     auto owned = difftest::makeAllBackends();
@@ -158,8 +169,10 @@ main(int argc, char** argv)
         backend_list.push_back(backend.get());
     const auto graph_replay = corpus::replayCorpus(graph_dir, backend_list);
     const auto seq_replay = corpus::replayCorpus(seq_dir, {});
+    const auto graph_seq_replay = corpus::replayCorpus(graph_seq_dir, {});
     printReplay("graph corpus replay", graph_replay);
     printReplay("sequence corpus replay", seq_replay);
+    printReplay("graph-pass sequence corpus replay", graph_seq_replay);
 
     // ---- 4. shard invariance with --corpus ---------------------------
     auto regressions_of = [&](int shards) {
@@ -177,13 +190,13 @@ main(int argc, char** argv)
     std::printf("regressions.tsv identical across shards {1,2,4}: %s\n",
                 shard_identical ? "yes" : "NO — BUG");
 
-    const bool all_still_fire =
-        graph_replay.total() > 0 &&
-        graph_replay.stillFires == graph_replay.total() &&
-        seq_replay.total() > 0 &&
-        seq_replay.stillFires == seq_replay.total();
+    bool all_still_fire = true;
+    for (const auto* replay : {&graph_replay, &seq_replay, &graph_seq_replay})
+        all_still_fire = all_still_fire && replay->total() > 0 &&
+                         replay->stillFires == replay->total();
     const bool roundtrip_ok = graph_rt.identical == graph_rt.files &&
-                              seq_rt.identical == seq_rt.files;
+                              seq_rt.identical == seq_rt.files &&
+                              graph_seq_rt.identical == graph_seq_rt.files;
 
     bench::Json json;
     json.beginObject()
@@ -193,7 +206,8 @@ main(int argc, char** argv)
                              std::to_string(options.seed));
     for (const auto& [key, replay] :
          {std::pair{"graph_corpus", &graph_replay},
-          std::pair{"sequence_corpus", &seq_replay}})
+          std::pair{"sequence_corpus", &seq_replay},
+          std::pair{"graph_sequence_corpus", &graph_seq_replay}})
         json.key(key)
             .beginObject()
             .field("reports", replay->total())
@@ -204,8 +218,9 @@ main(int argc, char** argv)
             .endObject();
     json.key("round_trip")
         .beginObject()
-        .field("files", graph_rt.files + seq_rt.files)
-        .field("byte_identical", graph_rt.identical + seq_rt.identical)
+        .field("files", graph_rt.files + seq_rt.files + graph_seq_rt.files)
+        .field("byte_identical", graph_rt.identical + seq_rt.identical +
+                                     graph_seq_rt.identical)
         .endObject();
     json.key("sharded_replay")
         .beginObject()

@@ -234,7 +234,6 @@ main(int argc, char** argv)
     runSection(matrix, telemetry, base, "",
                [&](bench::WorkerCell cell, const std::string& dir) {
                    auto config = base_cell(cell, dir);
-                   config.telemetry = true;
                    obs::ProgressOptions progress;
                    progress.printToStderr = false;
                    config.progress =
@@ -264,8 +263,7 @@ main(int argc, char** argv)
     for (int rep = 0; rep < kReps; ++rep) {
         double pair[2] = {0.0, 0.0};
         for (const bool on : {false, true}) {
-            auto config = base_cell(serial, "");
-            config.telemetry = on;
+            const auto config = base_cell(serial, "");
             setTelemetry(on, trace_path);
             const auto start = bench::Clock::now();
             (void)fuzz::runParallelCampaign(config);

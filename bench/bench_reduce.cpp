@@ -21,8 +21,7 @@
  *     the sharded runner).
  *
  *  4. "overhead": wall-clock campaign throughput with minimization off
- *     vs on, next to the committed BENCH_pass_fuzz.json campaign
- *     reference (13.6 iters/sec) for cross-PR context.
+ *     vs on.
  *
  * BENCH_reduce.json at the repo root is a committed record of this
  * output (see DESIGN.md "Reduction & reporting").
@@ -195,12 +194,9 @@ main(int argc, char** argv)
         .endObject();
     json.key("overhead")
         .beginObject()
-        .field("note", "same campaign, minimize off vs on; "
-                       "pass_fuzz_reference is BENCH_pass_fuzz.json "
-                       "campaign_pass_fuzz_tvmlite.iters_per_sec")
+        .field("note", "same campaign, minimize off vs on")
         .field("iters_per_sec_minimize_off", off_ips, 3)
         .field("iters_per_sec_minimize_on", on_ips, 3)
-        .field("pass_fuzz_reference", 13.620, 3)
         .endObject()
         .endObject();
     if (!bench::writeJson(options.outPath, json))

@@ -429,6 +429,34 @@ sequenceCampaign(uint64_t seed, size_t iters, const std::string& report_dir,
     return config;
 }
 
+/** The graph-pass counterpart: PassSequenceFuzzer over the OrtLite
+ *  and TrtLite registries (iteration seeds alternate between the two,
+ *  so the corpus holds repros of both), coverage under ortlite, one
+ *  shard. */
+inline fuzz::ParallelCampaignConfig
+graphSequenceCampaign(uint64_t seed, size_t iters,
+                      const std::string& report_dir)
+{
+    auto config = campaignConfig(
+        seed, iters, "ortlite",
+        [](uint64_t iteration_seed) {
+            fuzz::PassSequenceFuzzer::Options options;
+            options.backend = iteration_seed % 2 == 0 ? "OrtLite"
+                                                      : "TrtLite";
+            return std::make_unique<fuzz::PassSequenceFuzzer>(
+                iteration_seed, options);
+        },
+        [] {
+            std::vector<std::unique_ptr<backends::Backend>> owned;
+            owned.push_back(backends::makeOrtLite());
+            owned.push_back(backends::makeTrtLite());
+            return owned;
+        });
+    config.campaign.minimize = true;
+    config.campaign.reportDir = report_dir;
+    return config;
+}
+
 /** Run one fuzzer against one system under test on the campaign
  *  fabric. The figures are byte-identical for any shard count; Tzer
  *  keeps a mutation corpus across iterations, so it always runs as

@@ -93,9 +93,17 @@ echo "== corpus replay probe: re-check the emitted repros =="
 # known bug, not that anything was fixed).
 ./build/bench/bench_corpus --corpus build/repro-smoke
 
+echo "== corpus probe: every repro kind emits, round-trips and replays =="
+# Full mode: graph, TIR sequence and graph-pass sequence corpora from
+# minimizing campaigns; exits nonzero unless every repro round-trips
+# byte-identically and replays still-fires, and regressions.tsv is
+# identical across shards {1,2,4}.
+./build/bench/bench_corpus --iters 60 --out build/BENCH_corpus_smoke.json
+
 echo "== bench output: every --out file above is valid JSON =="
 scripts/check_docs.sh --validate-json build/BENCH_reduce_smoke.json \
-    build/BENCH_pass_venn_smoke.json build/BENCH_identity_smoke.json
+    build/BENCH_pass_venn_smoke.json build/BENCH_identity_smoke.json \
+    build/BENCH_corpus_smoke.json
 
 if [[ "${1:-}" != "--fast" ]]; then
     echo "== strict: -Wall -Wextra -Werror =="

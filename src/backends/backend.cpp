@@ -12,14 +12,21 @@ using onnx::ValueKind;
 using tensor::DType;
 using tensor::Tensor;
 
+namespace {
+
+/**
+ * The run()/runWithPasses() contract around one compile+run body:
+ * a BackendError becomes a kCrash result; otherwise the outputs are
+ * perturbed once per fired semantic defect id.
+ */
+template <typename Body>
 RunResult
-Backend::run(const OnnxModel& model, const exec::LeafValues& leaves,
-             OptLevel level)
+runGuarded(Body body)
 {
     RunResult result;
     std::vector<std::string> fired_semantic;
     try {
-        result.outputs = runImpl(model, leaves, level, fired_semantic);
+        result.outputs = body(fired_semantic);
     } catch (const BackendError& error) {
         result.status = RunResult::Status::kCrash;
         result.crashKind = error.kind();
@@ -32,25 +39,24 @@ Backend::run(const OnnxModel& model, const exec::LeafValues& leaves,
     return result;
 }
 
+} // namespace
+
+RunResult
+Backend::run(const OnnxModel& model, const exec::LeafValues& leaves,
+             OptLevel level)
+{
+    return runGuarded([&](std::vector<std::string>& fired_semantic) {
+        return runImpl(model, leaves, level, fired_semantic);
+    });
+}
+
 RunResult
 Backend::runWithPasses(const OnnxModel& model, const exec::LeafValues& leaves,
                        const std::vector<std::string>& pass_names)
 {
-    RunResult result;
-    std::vector<std::string> fired_semantic;
-    try {
-        result.outputs =
-            runPassesImpl(model, leaves, pass_names, fired_semantic);
-    } catch (const BackendError& error) {
-        result.status = RunResult::Status::kCrash;
-        result.crashKind = error.kind();
-        result.crashMessage = error.what();
-        return result;
-    }
-    for (const auto& defect_id : fired_semantic)
-        perturbOutputs(result.outputs, defect_id);
-    result.firedSemantic = std::move(fired_semantic);
-    return result;
+    return runGuarded([&](std::vector<std::string>& fired_semantic) {
+        return runPassesImpl(model, leaves, pass_names, fired_semantic);
+    });
 }
 
 std::vector<Tensor>

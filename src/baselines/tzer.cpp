@@ -1,12 +1,14 @@
 #include "baselines/tzer.h"
 
+#include <algorithm>
+
+#include "fuzz/pass_fuzzer.h"
 #include "support/logging.h"
 #include "tirlite/tir_interp.h"
 #include "tirlite/tir_passes.h"
 
 namespace nnsmith::baselines {
 
-using backends::BackendError;
 using coverage::CoverageRegistry;
 
 namespace {
@@ -102,33 +104,21 @@ TzerFuzzer::iterate(uint64_t iteration_seed,
             : tirlite::mutate(corpus_[it_rng.index(corpus_.size())],
                               it_rng);
 
-    backends::DefectRegistry::TraceScope trace_scope;
-    std::vector<std::string> fired_semantic;
-    bool crashed = false;
-    try {
-        const auto optimized =
-            tirlite::runTirPipeline(program, fired_semantic);
-        auto buffers = tirlite::makeBuffers(optimized, it_rng);
-        tirlite::run(optimized, buffers);
-    } catch (const BackendError& error) {
-        crashed = true;
-        fuzz::BugRecord bug;
-        bug.dedupKey = "TVMLite|crash|" + error.kind();
-        bug.backend = "TVMLite";
-        bug.kind = "crash";
-        bug.detail = error.what();
-        bug.defects = trace_scope.trace();
-        outcome.bugs.push_back(std::move(bug));
-    }
-    for (const auto& defect : fired_semantic) {
-        fuzz::BugRecord bug;
-        bug.dedupKey = "TVMLite|wrong|" + defect;
-        bug.backend = "TVMLite";
-        bug.kind = "wrong-result";
-        bug.detail = defect;
-        bug.defects = {defect};
-        outcome.bugs.push_back(std::move(bug));
-    }
+    outcome.bugs = fuzz::tirSequenceRecords(
+        tirlite::defaultTirPipeline(),
+        [&](std::vector<std::string>& fired_semantic) {
+            const auto optimized =
+                tirlite::runTirPipeline(program, fired_semantic);
+            auto buffers = tirlite::makeBuffers(optimized, it_rng);
+            tirlite::run(optimized, buffers);
+            return false; // no reference run: crashes and seeded
+                          // semantic defects only
+        });
+    const bool crashed =
+        std::any_of(outcome.bugs.begin(), outcome.bugs.end(),
+                    [](const fuzz::BugRecord& bug) {
+                        return bug.kind == "crash";
+                    });
     if (!outcome.bugs.empty()) {
         // Tzer always runs the fixed default pipeline; the reducer can
         // still ddmin that pipeline to the minimal failing subsequence.

@@ -1,24 +1,14 @@
 #include "corpus/replay.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <set>
 
-#include "backends/defects.h"
-#include "backends/graph_pass.h"
 #include "corpus/parser.h"
-#include "difftest/compare.h"
-#include "difftest/oracle.h"
-#include "onnx/exporter.h"
 #include "reduce/reducer.h"
 #include "support/logging.h"
-#include "tirlite/tir_interp.h"
-#include "tirlite/tir_passes.h"
 
 namespace nnsmith::corpus {
 
-using backends::BackendError;
-using backends::DefectRegistry;
 using fuzz::BugRecord;
 
 namespace {
@@ -33,189 +23,6 @@ joinSorted(const std::set<std::string>& items)
         joined += item;
     }
     return joined;
-}
-
-/** Graph repros: the difftest oracle, matched by canonical key. */
-void
-classifyGraph(const BugRecord& bug,
-              const std::vector<backends::Backend*>& backends,
-              ReplayOutcome& outcome)
-{
-    const auto& repro = *bug.graphRepro;
-    const auto result =
-        difftest::runCase(repro.graph, repro.leaves, backends);
-    std::set<std::string> signals;
-    bool refired = false;
-    for (auto& record : fuzz::bugsFromCase(result)) {
-        const std::string canonical = reduce::fingerprintKey(record);
-        signals.insert(canonical);
-        refired = refired || canonical == bug.dedupKey ||
-                  record.dedupKey == bug.dedupKey;
-    }
-    if (refired) {
-        outcome.status = ReplayStatus::kStillFires;
-    } else if (!signals.empty()) {
-        outcome.status = ReplayStatus::kChanged;
-        outcome.detail = joinSorted(signals);
-    } else {
-        outcome.status = ReplayStatus::kFixed;
-    }
-}
-
-/** Sequence repros: the bitwise tir_interp differential oracle. */
-void
-classifySequence(const BugRecord& bug, ReplayOutcome& outcome)
-{
-    const auto& repro = *bug.seqRepro;
-    const bool is_crash = bug.kind == "crash";
-    // The fingerprint is authoritative (the defects line is metadata a
-    // hand edit could desynchronize): sequence keys are
-    // "TVMLite|wrong|<defect>" for semantic records and
-    // "TVMLite|wrong|tir.seq.miscompile" for the genuine miscompile,
-    // which is pinned by the differential oracle instead.
-    const std::string key_tail = reduce::crashKindOfKey(bug.dedupKey);
-    const std::string semantic_defect =
-        !is_crash && key_tail != "tir.seq.miscompile" ? key_tail : "";
-    const bool is_miscompile = !is_crash && semantic_defect.empty();
-
-    DefectRegistry::TraceScope trace_scope;
-    std::vector<std::string> fired;
-    try {
-        const auto optimized =
-            tirlite::runTirPasses(repro.program, repro.sequence, fired);
-        bool miscompare = false;
-        if (!repro.initial.empty()) {
-            tirlite::Buffers reference = repro.initial;
-            tirlite::run(repro.program, reference);
-            tirlite::Buffers out = repro.initial;
-            tirlite::run(optimized, out);
-            miscompare = !tirlite::buffersEquivalent(reference, out);
-        }
-        const bool fired_target =
-            !semantic_defect.empty() &&
-            std::find(fired.begin(), fired.end(), semantic_defect) !=
-                fired.end();
-        if (is_crash) {
-            outcome.status = (!fired.empty() || miscompare)
-                                 ? ReplayStatus::kChanged
-                                 : ReplayStatus::kFixed;
-        } else if (!semantic_defect.empty()) {
-            outcome.status = fired_target
-                                 ? ReplayStatus::kStillFires
-                                 : ((!fired.empty() || miscompare)
-                                        ? ReplayStatus::kChanged
-                                        : ReplayStatus::kFixed);
-        } else if (is_miscompile) {
-            outcome.status = fired.empty() && miscompare
-                                 ? ReplayStatus::kStillFires
-                                 : (!fired.empty()
-                                        ? ReplayStatus::kChanged
-                                        : ReplayStatus::kFixed);
-        }
-        if (outcome.status == ReplayStatus::kChanged) {
-            std::set<std::string> signals(fired.begin(), fired.end());
-            if (miscompare)
-                signals.insert("interp-miscompare");
-            outcome.detail = joinSorted(signals);
-        }
-    } catch (const BackendError& error) {
-        if (is_crash && error.kind() == reduce::crashKindOfKey(bug.dedupKey)) {
-            outcome.status = ReplayStatus::kStillFires;
-        } else {
-            outcome.status = ReplayStatus::kChanged;
-            outcome.detail = "crash " + error.kind();
-        }
-    }
-}
-
-/**
- * Graph-level pass-sequence repros: the owning backend is its own
- * oracle — run(kO0) vs runWithPasses(sequence), with import-stage
- * semantic firings subtracted out, exactly as the pass-sequence
- * fuzzer flagged the bug. The backend is constructed fresh by name so
- * replay never depends on the campaign's backend list (mirroring
- * classifySequence, which needs no backend at all).
- */
-void
-classifyGraphSequence(const BugRecord& bug, ReplayOutcome& outcome)
-{
-    const auto& repro = *bug.graphSeqRepro;
-    NNSMITH_ASSERT(backends::isGraphPassBackend(bug.backend),
-                   "graph-sequence repro for non-graph-pass backend ",
-                   bug.backend);
-    const auto backend = bug.backend == "OrtLite"
-                             ? backends::makeOrtLite()
-                             : backends::makeTrtLite();
-    const bool is_crash = bug.kind == "crash";
-    const std::string key_tail = reduce::crashKindOfKey(bug.dedupKey);
-    const std::string semantic_defect =
-        !is_crash && key_tail != "graph.seq.miscompile" ? key_tail : "";
-    const bool is_miscompile = !is_crash && semantic_defect.empty();
-
-    DefectRegistry::TraceScope trace_scope;
-    onnx::OnnxModel model;
-    try {
-        model = onnx::exportGraph(repro.graph);
-    } catch (const BackendError& error) {
-        outcome.status = ReplayStatus::kChanged;
-        outcome.detail = "export crash " + error.kind();
-        return;
-    }
-    const auto reference =
-        backend->run(model, repro.leaves, backends::OptLevel::kO0);
-    if (reference.status == backends::RunResult::Status::kCrash) {
-        // An import-stage crash fires with or without passes: the
-        // pass-stage defect this repro records is masked, not re-fired.
-        outcome.status = ReplayStatus::kChanged;
-        outcome.detail = "import crash " + reference.crashKind;
-        return;
-    }
-    const auto result =
-        backend->runWithPasses(model, repro.leaves, repro.sequence);
-    if (result.status == backends::RunResult::Status::kCrash) {
-        if (is_crash && result.crashKind == key_tail) {
-            outcome.status = ReplayStatus::kStillFires;
-        } else {
-            outcome.status = ReplayStatus::kChanged;
-            outcome.detail = "crash " + result.crashKind;
-        }
-        return;
-    }
-    const auto fired = backends::subtractFired(result.firedSemantic,
-                                               reference.firedSemantic);
-    // Mirrors the fuzzer's flag condition: a miscompare only counts
-    // when no pass-stage defect explains it and the reference is
-    // numerically meaningful.
-    const bool miscompare =
-        fired.empty() && difftest::allFinite(reference.outputs) &&
-        !difftest::allClose(result.outputs, reference.outputs,
-                            difftest::CompareOptions());
-    const bool fired_target =
-        !semantic_defect.empty() &&
-        std::find(fired.begin(), fired.end(), semantic_defect) !=
-            fired.end();
-    if (is_crash) {
-        outcome.status = (!fired.empty() || miscompare)
-                             ? ReplayStatus::kChanged
-                             : ReplayStatus::kFixed;
-    } else if (!semantic_defect.empty()) {
-        outcome.status = fired_target
-                             ? ReplayStatus::kStillFires
-                             : ((!fired.empty() || miscompare)
-                                    ? ReplayStatus::kChanged
-                                    : ReplayStatus::kFixed);
-    } else if (is_miscompile) {
-        outcome.status = miscompare
-                             ? ReplayStatus::kStillFires
-                             : (!fired.empty() ? ReplayStatus::kChanged
-                                               : ReplayStatus::kFixed);
-    }
-    if (outcome.status == ReplayStatus::kChanged) {
-        std::set<std::string> signals(fired.begin(), fired.end());
-        if (miscompare)
-            signals.insert("output-miscompare");
-        outcome.detail = joinSorted(signals);
-    }
 }
 
 } // namespace
@@ -239,16 +46,25 @@ replayRepro(const BugRecord& bug,
     ReplayOutcome outcome;
     outcome.fingerprint = bug.dedupKey;
     outcome.kind = bug.kind;
-    if (bug.graphRepro != nullptr)
-        classifyGraph(bug, backends, outcome);
-    else if (bug.graphSeqRepro != nullptr)
-        classifyGraphSequence(bug, outcome);
-    else if (bug.seqRepro != nullptr)
-        classifySequence(bug, outcome);
-    else {
+    if (bug.graphRepro == nullptr && bug.seqRepro == nullptr &&
+        bug.graphSeqRepro == nullptr) {
         outcome.status = ReplayStatus::kParseError;
         outcome.detail = "repro carries no replayable artifact";
+        return outcome;
     }
+    const auto run = reduce::rerunRepro(bug, backends);
+    if (reduce::findFingerprint(run.records, reduce::fingerprintKey(bug))) {
+        outcome.status = ReplayStatus::kStillFires;
+        return outcome;
+    }
+    std::set<std::string> signals;
+    for (const auto& record : run.records)
+        signals.insert(reduce::fingerprintKey(record));
+    if (!run.masked.empty())
+        signals.insert(run.masked);
+    outcome.status =
+        signals.empty() ? ReplayStatus::kFixed : ReplayStatus::kChanged;
+    outcome.detail = joinSorted(signals);
     return outcome;
 }
 

@@ -5,20 +5,23 @@
  * known defect on each run.
  *
  * `replayCorpus` loads a `--report-dir` corpus (corpus/corpus.h),
- * parses every repro (corpus/parser.h) and re-runs it through the
- * oracle that flagged it — the difftest trio for graph repros, the
- * bitwise tir_interp differential oracle for TIR pass-sequence
- * repros, and the owning backend's run(kO0)-vs-runWithPasses oracle
- * for graph-level pass-sequence repros — classifying each fingerprint
- * as:
+ * parses every repro (corpus/parser.h) and re-runs it through the one
+ * oracle of its kind — the one the reducer re-checks with
+ * (reduce::rerunRepro): the difftest trio for graph repros, the TIR
+ * and graph-pass sequence oracles of fuzz/pass_fuzzer.h for the two
+ * pass-sequence kinds. One rule classifies every kind, keyed by the
+ * recorded fingerprint (reduce::fingerprintKey; never the editable
+ * defects line):
  *
- *  - **still-fires**: the recorded fingerprint re-fires — the bug is
- *    still present (the expected state for a regression suite seeded
- *    from the same code).
- *  - **changed**: the repro still signals a bug, but with a different
- *    fingerprint (different crash kind, different defect set, or a
- *    new miscompare) — a flaky or shifted defect worth triage.
- *  - **fixed**: the repro runs clean — the bug no longer reproduces.
+ *  - **still-fires**: a re-derived record carries the recorded
+ *    fingerprint — the bug is still present (the expected state for a
+ *    regression suite seeded from the same code).
+ *  - **changed**: the re-run yields other records, or an export or
+ *    import-stage crash masks a graph-pass repro's pass stage; the
+ *    detail lists their sorted fingerprints — a flaky or shifted
+ *    defect worth triage.
+ *  - **fixed**: the re-run yields nothing — the bug no longer
+ *    reproduces.
  *  - **parse-error**: the repro file or index row is malformed; the
  *    structured message lands in the outcome's detail.
  *
@@ -53,7 +56,7 @@ struct ReplayOutcome {
     std::string file;
     std::string kind;
     ReplayStatus status = ReplayStatus::kFixed;
-    /** changed: the observed signals; parse-error: the message. */
+    /** changed: the observed fingerprints; parse-error: the message. */
     std::string detail;
 };
 
@@ -72,9 +75,8 @@ struct ReplayResult {
  * Re-run one parsed repro and classify it. Graph repros run the
  * difftest oracle over @p backends; sequence repros need none (TIR
  * sequences use the interpreter, graph sequences construct their
- * owning backend by name). The fingerprint compared against is
- * @p bug.dedupKey. Deterministic, and leaves no trigger-trace residue
- * (TraceScope-scoped internally).
+ * owning backend by name). Deterministic, and leaves no trigger-trace
+ * residue.
  */
 ReplayOutcome replayRepro(const fuzz::BugRecord& bug,
                           const std::vector<backends::Backend*>& backends);

@@ -50,7 +50,8 @@ struct SeqRepro {
  * Repro material of a flagged *graph-level* pass-sequence case
  * (backends/graph_pass.h): the model, its leaf tensors, and the
  * OrtLite/TrtLite pass sequence that was run over it. The replaying
- * oracle is the backend itself: run(kO0) vs runWithPasses(sequence).
+ * oracle is the backend itself: run(kO0) vs runWithPasses(sequence)
+ * (GraphSequenceOracle, fuzz/pass_fuzzer.h).
  */
 struct GraphSeqRepro {
     graph::Graph graph;

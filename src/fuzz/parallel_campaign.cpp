@@ -186,8 +186,6 @@ runParallelCampaign(const ParallelCampaignConfig& config)
     // campaign driver, not just those that set them explicitly.
     if (effective.progress == nullptr && obs::progressRequested())
         effective.progress = std::make_shared<obs::ProgressAggregator>();
-    effective.telemetry = config.telemetry || obs::metricsEnabled() ||
-                          effective.progress != nullptr;
     const auto progress = effective.progress;
 
     // Execute the rounds on the configured worker runtime — threads or

@@ -106,18 +106,15 @@ struct ParallelCampaignConfig {
     BackendFactory backendFactory;
 
     /**
-     * Worker telemetry (heartbeats, per-round metrics frames from
-     * process workers). Telemetry is inert by contract (DESIGN.md
-     * "Telemetry"): the merged result is byte-identical with it on or
-     * off — it only adds observation, never behavior.
-     */
-    bool telemetry = false;
-
-    /**
      * Live progress aggregation (obs/progress.h). When set, the
      * runtime attaches it, feeds it per-round heartbeats and liveness
      * transitions (stalled / crashed / errored workers) and finishes
-     * it after the last round. Independent of `telemetry`; also inert.
+     * it after the last round. Process workers send telemetry frames
+     * (heartbeats, per-round metrics deltas) whenever this is set or
+     * metrics are enabled (obs::metricsEnabled). Telemetry is inert by
+     * contract (DESIGN.md "Telemetry"): the merged result is
+     * byte-identical with it on or off — it only adds observation,
+     * never behavior.
      */
     std::shared_ptr<obs::ProgressAggregator> progress;
 };

@@ -29,6 +29,16 @@ joinSequence(const std::vector<std::string>& sequence)
     return joined;
 }
 
+std::unique_ptr<backends::Backend>
+makeGraphPassBackend(const std::string& name)
+{
+    NNSMITH_ASSERT(backends::isGraphPassBackend(name),
+                   "graph-pass sequence oracle for non-graph-pass backend ",
+                   name);
+    return name == "OrtLite" ? backends::makeOrtLite()
+                             : backends::makeTrtLite();
+}
+
 } // namespace
 
 PassSequenceFuzzer::PassSequenceFuzzer(uint64_t seed)
@@ -71,6 +81,70 @@ PassSequenceFuzzer::iterateTir()
     return runTirSequenceCase(program, sequence, options_.caseCost, rng_);
 }
 
+std::vector<BugRecord>
+tirSequenceRecords(const std::vector<std::string>& sequence,
+                   const std::function<bool(std::vector<std::string>&)>& run)
+{
+    std::vector<BugRecord> records;
+    DefectRegistry::TraceScope trace_scope;
+    std::vector<std::string> fired_semantic;
+    try {
+        if (run(fired_semantic) && fired_semantic.empty()) {
+            // No seeded defect explains the mismatch: a genuine
+            // pass-pipeline miscompile (the property test in
+            // tests/pass_fuzz_test.cpp keeps this unreachable).
+            BugRecord bug;
+            bug.dedupKey = "TVMLite|wrong|tir.seq.miscompile";
+            bug.backend = "TVMLite";
+            bug.kind = "wrong-result";
+            bug.detail = "pass sequence " + joinSequence(sequence) +
+                         " changed interp output";
+            records.push_back(std::move(bug));
+        }
+    } catch (const BackendError& error) {
+        BugRecord bug;
+        bug.dedupKey = "TVMLite|crash|" + error.kind();
+        bug.backend = "TVMLite";
+        bug.kind = "crash";
+        bug.detail = error.what();
+        bug.defects = trace_scope.trace();
+        records.push_back(std::move(bug));
+    }
+    for (const auto& defect : fired_semantic) {
+        BugRecord bug;
+        bug.dedupKey = "TVMLite|wrong|" + defect;
+        bug.backend = "TVMLite";
+        bug.kind = "wrong-result";
+        bug.detail = defect;
+        bug.defects = {defect};
+        records.push_back(std::move(bug));
+    }
+    return records;
+}
+
+TirSequenceOracle::TirSequenceOracle(const tirlite::TirProgram& program,
+                                     tirlite::Buffers initial)
+    : program_(program), initial_(std::move(initial)), reference_(initial_)
+{
+    if (!initial_.empty())
+        tirlite::run(program_, reference_);
+}
+
+std::vector<BugRecord>
+TirSequenceOracle::query(const std::vector<std::string>& sequence) const
+{
+    return tirSequenceRecords(
+        sequence, [&](std::vector<std::string>& fired_semantic) {
+            const auto optimized =
+                tirlite::runTirPasses(program_, sequence, fired_semantic);
+            if (initial_.empty())
+                return false;
+            tirlite::Buffers out = initial_;
+            tirlite::run(optimized, out);
+            return !buffersEquivalent(reference_, out);
+        });
+}
+
 IterationOutcome
 runTirSequenceCase(const tirlite::TirProgram& program,
                    const std::vector<std::string>& sequence,
@@ -83,59 +157,18 @@ runTirSequenceCase(const tirlite::TirProgram& program,
     tirlite::recordSequenceCoverage(sequence);
     outcome.instanceKeys.push_back("tirseq/" + joinSequence(sequence));
 
-    DefectRegistry::TraceScope trace_scope;
-
     // Differential oracle: unoptimized vs optimized interpretation
     // over identical initial buffers.
-    const tirlite::Buffers initial =
-        tirlite::makeBuffers(program, rng);
-    tirlite::Buffers reference = initial;
-    tirlite::run(program, reference);
-
-    std::vector<std::string> fired_semantic;
-    try {
-        const auto optimized =
-            tirlite::runTirPasses(program, sequence, fired_semantic);
-        tirlite::Buffers optimized_out = initial;
-        tirlite::run(optimized, optimized_out);
-        if (!buffersEquivalent(reference, optimized_out) &&
-            fired_semantic.empty()) {
-            // No seeded defect explains the mismatch: a genuine
-            // pass-pipeline miscompile (the property test in
-            // tests/pass_fuzz_test.cpp keeps this unreachable).
-            BugRecord bug;
-            bug.dedupKey = "TVMLite|wrong|tir.seq.miscompile";
-            bug.backend = "TVMLite";
-            bug.kind = "wrong-result";
-            bug.detail = "pass sequence " + joinSequence(sequence) +
-                         " changed interp output";
-            outcome.bugs.push_back(std::move(bug));
-        }
-    } catch (const BackendError& error) {
-        BugRecord bug;
-        bug.dedupKey = "TVMLite|crash|" + error.kind();
-        bug.backend = "TVMLite";
-        bug.kind = "crash";
-        bug.detail = error.what();
-        bug.defects = trace_scope.trace();
-        outcome.bugs.push_back(std::move(bug));
-    }
-    for (const auto& defect : fired_semantic) {
-        BugRecord bug;
-        bug.dedupKey = "TVMLite|wrong|" + defect;
-        bug.backend = "TVMLite";
-        bug.kind = "wrong-result";
-        bug.detail = defect;
-        bug.defects = {defect};
-        outcome.bugs.push_back(std::move(bug));
-    }
+    tirlite::Buffers initial = tirlite::makeBuffers(program, rng);
+    const TirSequenceOracle oracle(program, initial);
+    outcome.bugs = oracle.query(sequence);
     if (!outcome.bugs.empty()) {
         // Repro for the pass-sequence reducer: the (mutated) program,
         // the flagged sequence, and the oracle's initial buffers.
         auto repro = std::make_shared<SeqRepro>();
         repro->program = program;
         repro->sequence = sequence;
-        repro->initial = initial;
+        repro->initial = std::move(initial);
         for (auto& bug : outcome.bugs)
             bug.seqRepro = repro;
     }
@@ -178,6 +211,102 @@ PassSequenceFuzzer::iterateGraph(
     return outcome;
 }
 
+GraphSequenceOracle::GraphSequenceOracle(backends::Backend& backend,
+                                         const graph::Graph& graph,
+                                         const exec::LeafValues& leaves)
+    : backend_(backend), leaves_(leaves)
+{
+    prepare(graph);
+}
+
+GraphSequenceOracle::GraphSequenceOracle(const std::string& backend,
+                                         const graph::Graph& graph,
+                                         const exec::LeafValues& leaves)
+    : owned_(makeGraphPassBackend(backend)), backend_(*owned_),
+      leaves_(leaves)
+{
+    prepare(graph);
+}
+
+void
+GraphSequenceOracle::prepare(const graph::Graph& graph)
+{
+    DefectRegistry::TraceScope trace_scope;
+    try {
+        model_ = onnx::exportGraph(graph);
+    } catch (const BackendError& error) {
+        // Exporter defects are the graph campaign's quarry, not a
+        // pass-sequence find: the sequence never runs.
+        masked_ = "Exporter|crash|" + error.kind();
+        return;
+    }
+    exported_ = true;
+    reference_ = backend_.run(model_, leaves_, backends::OptLevel::kO0);
+    // An import-stage crash fires with or without passes — not a
+    // pass-sequence find either.
+    if (reference_.status == RunResult::Status::kCrash)
+        masked_ = backend_.name() + "|crash|" + reference_.crashKind;
+    fixedTrace_ = trace_scope.trace();
+}
+
+std::vector<BugRecord>
+GraphSequenceOracle::query(const std::vector<std::string>& sequence) const
+{
+    std::vector<BugRecord> records;
+    if (!masked_.empty())
+        return records;
+    const std::string backend_name = backend_.name();
+    DefectRegistry::TraceScope trace_scope;
+    const RunResult result =
+        backend_.runWithPasses(model_, leaves_, sequence);
+
+    if (result.status == RunResult::Status::kCrash) {
+        BugRecord bug;
+        bug.dedupKey = backend_name + "|crash|" + result.crashKind;
+        bug.backend = backend_name;
+        bug.kind = "crash";
+        bug.detail = result.crashMessage;
+        bug.defects = fixedTrace_;
+        bug.defects.insert(bug.defects.end(), trace_scope.trace().begin(),
+                           trace_scope.trace().end());
+        records.push_back(std::move(bug));
+        return records;
+    }
+    // Pass-stage semantic firings: import-stage defects perturb both
+    // runs identically and cancel out.
+    const auto fired = backends::subtractFired(result.firedSemantic,
+                                               reference_.firedSemantic);
+    std::vector<std::string> novel; // order-preserving dedup
+    for (const auto& id : fired) {
+        if (std::find(novel.begin(), novel.end(), id) == novel.end())
+            novel.push_back(id);
+    }
+    for (const auto& defect : novel) {
+        BugRecord bug;
+        bug.dedupKey = backend_name + "|wrong|" + defect;
+        bug.backend = backend_name;
+        bug.kind = "wrong-result";
+        bug.detail = defect;
+        bug.defects = {defect};
+        records.push_back(std::move(bug));
+    }
+    if (novel.empty() && difftest::allFinite(reference_.outputs) &&
+        !difftest::allClose(result.outputs, reference_.outputs,
+                            difftest::CompareOptions())) {
+        // No seeded defect explains the mismatch: a genuine
+        // pass-pipeline miscompile (graph passes are scan-only, so the
+        // property test keeps this unreachable).
+        BugRecord bug;
+        bug.dedupKey = backend_name + "|wrong|graph.seq.miscompile";
+        bug.backend = backend_name;
+        bug.kind = "wrong-result";
+        bug.detail = "pass sequence " + joinSequence(sequence) +
+                     " changed backend output";
+        records.push_back(std::move(bug));
+    }
+    return records;
+}
+
 IterationOutcome
 runGraphSequenceCase(backends::Backend& backend, const graph::Graph& graph,
                      const exec::LeafValues& leaves,
@@ -192,78 +321,16 @@ runGraphSequenceCase(backends::Backend& backend, const graph::Graph& graph,
     outcome.instanceKeys.push_back("passseq/" + backend_name + "/" +
                                    joinSequence(sequence));
 
-    DefectRegistry::TraceScope trace_scope;
-    onnx::OnnxModel onnx_model;
-    try {
-        onnx_model = onnx::exportGraph(graph);
-    } catch (const BackendError&) {
-        // Exporter defects are the graph campaign's quarry, not a
-        // pass-sequence find: the sequence never ran. Skip the case.
+    const GraphSequenceOracle oracle(backend, graph, leaves);
+    if (!oracle.exported())
         return outcome;
-    }
-
-    // Differential oracle: the backend's own pass-off (kO0) run vs the
-    // drawn sequence. Two compiles + two runs of virtual cost.
+    // Two compiles + two runs of virtual cost.
     const VirtualMs compile =
         backend_name == "TrtLite" ? cost.backendCompileTrt
                                   : cost.backendCompileOrt;
     outcome.cost += 2 * compile + 2 * cost.run;
 
-    const RunResult reference =
-        backend.run(onnx_model, leaves, backends::OptLevel::kO0);
-    if (reference.status == RunResult::Status::kCrash) {
-        // An import-stage crash fires with or without passes — not a
-        // pass-sequence find. Skip.
-        return outcome;
-    }
-    const RunResult result =
-        backend.runWithPasses(onnx_model, leaves, sequence);
-
-    if (result.status == RunResult::Status::kCrash) {
-        BugRecord bug;
-        bug.dedupKey =
-            backend_name + "|crash|" + result.crashKind;
-        bug.backend = backend_name;
-        bug.kind = "crash";
-        bug.detail = result.crashMessage;
-        bug.defects = trace_scope.trace();
-        outcome.bugs.push_back(std::move(bug));
-    } else {
-        // Pass-stage semantic firings: import-stage defects perturb
-        // both runs identically and cancel out.
-        const auto fired = backends::subtractFired(
-            result.firedSemantic, reference.firedSemantic);
-        std::vector<std::string> novel; // order-preserving dedup
-        for (const auto& id : fired) {
-            if (std::find(novel.begin(), novel.end(), id) == novel.end())
-                novel.push_back(id);
-        }
-        for (const auto& defect : novel) {
-            BugRecord bug;
-            bug.dedupKey = backend_name + "|wrong|" + defect;
-            bug.backend = backend_name;
-            bug.kind = "wrong-result";
-            bug.detail = defect;
-            bug.defects = {defect};
-            outcome.bugs.push_back(std::move(bug));
-        }
-        if (novel.empty() &&
-            difftest::allFinite(reference.outputs) &&
-            !difftest::allClose(result.outputs, reference.outputs,
-                                difftest::CompareOptions())) {
-            // No seeded defect explains the mismatch: a genuine
-            // pass-pipeline miscompile (graph passes are scan-only,
-            // so the property test keeps this unreachable).
-            BugRecord bug;
-            bug.dedupKey =
-                backend_name + "|wrong|graph.seq.miscompile";
-            bug.backend = backend_name;
-            bug.kind = "wrong-result";
-            bug.detail = "pass sequence " + joinSequence(sequence) +
-                         " changed backend output";
-            outcome.bugs.push_back(std::move(bug));
-        }
-    }
+    outcome.bugs = oracle.query(sequence);
     if (!outcome.bugs.empty()) {
         auto repro = std::make_shared<GraphSeqRepro>();
         repro->graph = graph;

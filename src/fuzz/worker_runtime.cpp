@@ -437,7 +437,7 @@ workerChildLoop(const ParallelCampaignConfig& config, int shard,
                 cum_bugs += records.back().bugs.size();
                 cum_hits += records.back().hits.size();
             }
-            if (config.telemetry) {
+            if (obs::metricsEnabled() || config.progress != nullptr) {
                 // Heartbeat + this round's metrics delta ride ahead of
                 // the result frame. Ignorable by contract: a
                 // coordinator that skips them loses observability,

@@ -1,22 +1,17 @@
 #include "reduce/reducer.h"
 
-#include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 
-#include "backends/graph_pass.h"
-#include "difftest/compare.h"
 #include "difftest/oracle.h"
+#include "fuzz/pass_fuzzer.h"
 #include "graph/validate.h"
 #include "obs/trace.h"
-#include "onnx/exporter.h"
-#include "support/logging.h"
-#include "tirlite/tir_passes.h"
 
 namespace nnsmith::reduce {
 
-using backends::BackendError;
 using backends::DefectRegistry;
 using backends::Symptom;
 using backends::System;
@@ -35,12 +30,6 @@ crashKindOfKey(const std::string& dedup_key)
 }
 
 namespace {
-
-std::string
-crashKindOf(const BugRecord& bug)
-{
-    return crashKindOfKey(bug.dedupKey);
-}
 
 /**
  * The semantic defects in @p defects attributable to @p backend: its
@@ -67,53 +56,6 @@ relevantSemanticDefects(const std::vector<std::string>& defects,
             out.insert(id);
     }
     return out;
-}
-
-/** What must keep firing while the repro shrinks. */
-struct FingerprintTarget {
-    std::string backend;
-    std::string kind;
-    std::string crashKind;           ///< crash / export-crash only
-    std::set<std::string> relevant;  ///< wrong-result only
-};
-
-FingerprintTarget
-targetOf(const BugRecord& bug)
-{
-    FingerprintTarget target;
-    target.backend = bug.backend;
-    target.kind = bug.kind;
-    if (bug.kind == "wrong-result")
-        target.relevant = relevantSemanticDefects(bug.defects, bug.backend);
-    else
-        target.crashKind = crashKindOf(bug);
-    return target;
-}
-
-/** The bug record derived from @p result matching @p target, if any. */
-std::optional<BugRecord>
-matchOf(const difftest::CaseResult& result,
-        const FingerprintTarget& target)
-{
-    for (auto& bug : fuzz::bugsFromCase(result)) {
-        if (bug.backend != target.backend || bug.kind != target.kind)
-            continue;
-        if (target.kind == "wrong-result") {
-            if (relevantSemanticDefects(bug.defects, bug.backend) ==
-                target.relevant)
-                return bug;
-        } else if (crashKindOf(bug) == target.crashKind) {
-            return bug;
-        }
-    }
-    return std::nullopt;
-}
-
-bool
-caseMatches(const difftest::CaseResult& result,
-            const FingerprintTarget& target)
-{
-    return matchOf(result, target).has_value();
 }
 
 // ---- GraphReducer ---------------------------------------------------------
@@ -206,6 +148,8 @@ opNodesInOrder(const graph::Graph& graph)
     return ops;
 }
 
+using Records = std::vector<BugRecord>;
+
 /**
  * Memoized candidate evaluations, shared between the bug records of
  * one flagged case (they all carry the same GraphRepro but pin
@@ -214,44 +158,35 @@ opNodesInOrder(const graph::Graph& graph)
  * producer-closed kept op-node set; nullptr records a candidate whose
  * rebuilt subgraph failed validation.
  */
-using CaseCache =
-    std::map<std::vector<int>,
-             std::shared_ptr<const difftest::CaseResult>>;
+using CaseCache = std::map<std::vector<int>, std::shared_ptr<const Records>>;
 
 bool
 minimizeGraphBug(BugRecord& bug,
                  const std::vector<backends::Backend*>& backends,
-                 const ReduceOptions& options,
-                 const difftest::CaseResult& full_result,
+                 const ReduceOptions& options, const Records& full_records,
                  CaseCache& cache)
 {
     const auto& repro = *bug.graphRepro;
-    const FingerprintTarget target = targetOf(bug);
-    // A wrong-result with no attributable semantic defect would make
-    // the predicate match any miscompare; leave such records raw.
-    if (target.kind == "wrong-result" && target.relevant.empty())
-        return false;
-
+    const std::string target = fingerprintKey(bug);
     // The full case must reproduce its own fingerprint (deterministic
     // oracle; a mismatch means the record is not reducible as-is).
-    if (!caseMatches(full_result, target))
+    if (findFingerprint(full_records, target) == nullptr)
         return false;
 
     const std::vector<int> ops = opNodesInOrder(repro.graph);
-    auto evaluate =
-        [&](const std::set<int>& keep) -> const difftest::CaseResult* {
+    auto evaluate = [&](const std::set<int>& keep) -> const Records* {
         std::vector<int> key(keep.begin(), keep.end());
         auto it = cache.find(key);
         if (it == cache.end()) {
             GraphCase candidate =
                 extractSubgraph(repro.graph, repro.leaves, keep);
-            std::shared_ptr<const difftest::CaseResult> result;
+            std::shared_ptr<const Records> records;
             if (graph::validate(candidate.graph).ok()) {
-                result = std::make_shared<difftest::CaseResult>(
-                    difftest::runCase(candidate.graph, candidate.leaves,
-                                      backends));
+                records = std::make_shared<Records>(
+                    fuzz::bugsFromCase(difftest::runCase(
+                        candidate.graph, candidate.leaves, backends)));
             }
-            it = cache.emplace(std::move(key), std::move(result)).first;
+            it = cache.emplace(std::move(key), std::move(records)).first;
         }
         return it->second.get();
     };
@@ -260,8 +195,9 @@ minimizeGraphBug(BugRecord& bug,
         for (size_t index : kept)
             keep.insert(ops[index]);
         keep = closeOverProducers(repro.graph, keep);
-        const auto* result = evaluate(keep);
-        return result != nullptr && caseMatches(*result, target);
+        const auto* records = evaluate(keep);
+        return records != nullptr &&
+               findFingerprint(*records, target) != nullptr;
     };
 
     DdminStats stats;
@@ -280,135 +216,102 @@ minimizeGraphBug(BugRecord& bug,
     // (what the report shows); bug.defects keeps the discovery-time
     // trace.
     bug.minimizedDefects = bug.defects;
-    if (const auto* final_result = evaluate(keep)) {
-        if (auto matched = matchOf(*final_result, target)) {
-            bug.minimizedDefects = std::move(matched->defects);
-            bug.detail = std::move(matched->detail);
+    if (const auto* records = evaluate(keep)) {
+        if (const auto* matched = findFingerprint(*records, target)) {
+            bug.minimizedDefects = matched->defects;
+            bug.detail = matched->detail;
         }
     }
     bug.originalSize = ops.size();
     bug.minimizedSize = keep.size();
     bug.graphRepro = std::move(minimized);
+    bug.dedupKey = target;
     bug.minimized = true;
-    bug.dedupKey = fingerprintKey(bug);
     return true;
 }
 
 // ---- PassSequenceReducer --------------------------------------------------
 
-using tirlite::buffersEquivalent; // the shared bitwise oracle contract
+/**
+ * ddmin @p sequence to the minimal subsequence on which @p query (the
+ * repro kind's oracle) still flags @p bug's fingerprint, and record
+ * the outcome on @p bug (sizes, the minimized run's own trigger trace,
+ * the canonical key). Queries are memoized by subsequence. Returns
+ * nullopt — leaving @p bug untouched — when the full sequence does not
+ * flag the fingerprint.
+ */
+std::optional<std::vector<std::string>>
+minimizeSequence(
+    BugRecord& bug, const std::vector<std::string>& sequence,
+    const std::function<Records(const std::vector<std::string>&)>& query,
+    const ReduceOptions& options)
+{
+    const std::string target = fingerprintKey(bug);
+    std::map<std::vector<std::string>, Records> cache;
+    auto subsequence = [&](const std::vector<size_t>& kept) {
+        std::vector<std::string> out;
+        out.reserve(kept.size());
+        for (size_t index : kept)
+            out.push_back(sequence[index]);
+        return out;
+    };
+    auto matched = [&](const std::vector<size_t>& kept) {
+        auto key = subsequence(kept);
+        auto it = cache.find(key);
+        if (it == cache.end()) {
+            Records records = query(key);
+            it = cache.emplace(std::move(key), std::move(records)).first;
+        }
+        return findFingerprint(it->second, target);
+    };
+    auto still_fails = [&](const std::vector<size_t>& kept) {
+        return matched(kept) != nullptr;
+    };
+
+    std::vector<size_t> all(sequence.size());
+    for (size_t i = 0; i < all.size(); ++i)
+        all[i] = i;
+    if (!still_fails(all))
+        return std::nullopt;
+
+    DdminStats stats;
+    const auto minimal =
+        ddmin(sequence.size(), still_fails, &stats, options.maxOracleRuns);
+    const BugRecord* final_record = matched(minimal);
+    bug.minimizedDefects =
+        final_record != nullptr ? final_record->defects : bug.defects;
+    bug.originalSize = sequence.size();
+    bug.minimizedSize = minimal.size();
+    bug.dedupKey = target;
+    bug.minimized = true;
+    return subsequence(minimal);
+}
 
 bool
 minimizeSeqBug(BugRecord& bug, const ReduceOptions& options)
 {
-    const auto& repro = *bug.seqRepro;
-    const FingerprintTarget target = targetOf(bug);
-    const bool is_crash = target.kind == "crash";
-    // Which semantic defect must keep firing (empty for the genuine
-    // miscompile record, which is instead pinned by the differential
-    // oracle below).
-    const std::string semantic_defect =
-        !is_crash && bug.defects.size() == 1 ? bug.defects[0] : "";
-    const bool is_miscompile = !is_crash && semantic_defect.empty();
-    if (is_miscompile && repro.initial.empty())
-        return false; // no oracle inputs captured; cannot re-check
-
-    tirlite::Buffers reference;
-    if (is_miscompile) {
-        reference = repro.initial;
-        tirlite::run(repro.program, reference);
-    }
-
-    auto still_fails = [&](const std::vector<size_t>& kept) {
-        std::vector<std::string> subsequence;
-        subsequence.reserve(kept.size());
-        for (size_t index : kept)
-            subsequence.push_back(repro.sequence[index]);
-        // Keep trigger traces from the re-runs out of the ambient
-        // thread-local window.
-        DefectRegistry::TraceScope trace_scope;
-        std::vector<std::string> fired;
-        try {
-            const auto optimized =
-                tirlite::runTirPasses(repro.program, subsequence, fired);
-            if (is_crash)
-                return false;
-            if (!semantic_defect.empty())
-                return std::find(fired.begin(), fired.end(),
-                                 semantic_defect) != fired.end();
-            // Genuine miscompile: output must still differ bitwise
-            // with no seeded defect explaining it.
-            if (!fired.empty())
-                return false;
-            tirlite::Buffers out = repro.initial;
-            tirlite::run(optimized, out);
-            return !buffersEquivalent(reference, out);
-        } catch (const BackendError& error) {
-            return is_crash && error.kind() == target.crashKind;
-        }
-    };
-
-    std::vector<size_t> all(repro.sequence.size());
-    for (size_t i = 0; i < all.size(); ++i)
-        all[i] = i;
-    if (!still_fails(all))
+    auto repro = std::make_shared<fuzz::SeqRepro>(*bug.seqRepro);
+    const fuzz::TirSequenceOracle oracle(repro->program, repro->initial);
+    auto minimal = minimizeSequence(
+        bug, repro->sequence,
+        [&](const std::vector<std::string>& sequence) {
+            return oracle.query(sequence);
+        },
+        options);
+    if (!minimal)
         return false;
-
-    DdminStats stats;
-    const auto minimal = ddmin(repro.sequence.size(), still_fails, &stats,
-                               options.maxOracleRuns);
-
-    auto minimized = std::make_shared<fuzz::SeqRepro>(repro);
-    minimized->sequence.clear();
-    for (size_t index : minimal)
-        minimized->sequence.push_back(repro.sequence[index]);
-    // The minimized subsequence's own trigger trace for the report.
-    if (!semantic_defect.empty()) {
-        bug.minimizedDefects = {semantic_defect};
-    } else if (is_crash) {
-        DefectRegistry::TraceScope trace_scope;
-        std::vector<std::string> fired;
-        try {
-            tirlite::runTirPasses(repro.program, minimized->sequence,
-                                  fired);
-        } catch (const BackendError&) {
-        }
-        bug.minimizedDefects = trace_scope.trace();
-    } else {
-        bug.minimizedDefects.clear(); // miscompile: no seeded defect
-    }
-    bug.originalSize = repro.sequence.size();
-    bug.minimizedSize = minimized->sequence.size();
-    bug.seqRepro = std::move(minimized);
-    bug.minimized = true;
-    bug.dedupKey = fingerprintKey(bug);
+    repro->sequence = std::move(*minimal);
+    bug.seqRepro = std::move(repro);
     return true;
 }
 
-// ---- graph-level pass-sequence reduction ----------------------------------
-
-/** The graph-pass analogue of minimizeSeqBug: ddmin the pass list
- *  under the owning backend's run(kO0)-vs-runWithPasses oracle (the
- *  contract from fuzz/pass_fuzzer.h). The model and its reference run
- *  are fixed; only the sequence shrinks, so candidate evaluations are
- *  memoized by joined subsequence. */
+/** The graph-level analogue of minimizeSeqBug: the model, its export
+ *  and its kO0 reference run are fixed once per repro; only the
+ *  sequence shrinks. */
 bool
 minimizeGraphSeqBug(BugRecord& bug, const ReduceOptions& options)
 {
     const auto& original = *bug.graphSeqRepro;
-    NNSMITH_ASSERT(backends::isGraphPassBackend(bug.backend),
-                   "graph-sequence repro for non-graph-pass backend ",
-                   bug.backend);
-    const auto backend = bug.backend == "OrtLite"
-                             ? backends::makeOrtLite()
-                             : backends::makeTrtLite();
-    const FingerprintTarget target = targetOf(bug);
-    const bool is_crash = target.kind == "crash";
-    // Which semantic defect must keep firing (empty for the genuine
-    // miscompile record, which is instead pinned by the comparator).
-    const std::string semantic_defect =
-        !is_crash && bug.defects.size() == 1 ? bug.defects[0] : "";
-
     // Canonicalize the model up front: rebuild it with all op nodes
     // kept, which renumbers value ids densely in topological order —
     // the canonical form the corpus round-trip contract requires
@@ -416,98 +319,27 @@ minimizeGraphSeqBug(BugRecord& bug, const ReduceOptions& options)
     // The oracle runs against the canonical model below, so the
     // repro's still-fires check covers the renumbering too.
     const std::vector<int> ops = opNodesInOrder(original.graph);
-    fuzz::GraphSeqRepro repro;
+    auto repro = std::make_shared<fuzz::GraphSeqRepro>();
     {
         GraphCase canonical = extractSubgraph(
             original.graph, original.leaves,
             std::set<int>(ops.begin(), ops.end()));
-        repro.graph = std::move(canonical.graph);
-        repro.leaves = std::move(canonical.leaves);
-        repro.sequence = original.sequence;
+        repro->graph = std::move(canonical.graph);
+        repro->leaves = std::move(canonical.leaves);
+        repro->sequence = original.sequence;
     }
-
-    // Keep trigger traces from the re-runs out of the ambient window.
-    DefectRegistry::TraceScope trace_scope;
-    onnx::OnnxModel model;
-    try {
-        model = onnx::exportGraph(repro.graph);
-    } catch (const BackendError&) {
-        return false; // the flagged case exported; a hand edit broke it
-    }
-    const auto reference =
-        backend->run(model, repro.leaves, backends::OptLevel::kO0);
-    if (reference.status == backends::RunResult::Status::kCrash)
-        return false; // import-stage crash masks the pass stage
-
-    std::map<std::string, bool> cache; // joined subsequence -> fails
-    auto still_fails = [&](const std::vector<size_t>& kept) {
-        std::vector<std::string> subsequence;
-        std::string key;
-        subsequence.reserve(kept.size());
-        for (size_t index : kept) {
-            subsequence.push_back(repro.sequence[index]);
-            key += repro.sequence[index];
-            key += ",";
-        }
-        auto it = cache.find(key);
-        if (it != cache.end())
-            return it->second;
-        DefectRegistry::TraceScope candidate_scope;
-        const auto result =
-            backend->runWithPasses(model, repro.leaves, subsequence);
-        bool fails = false;
-        if (result.status == backends::RunResult::Status::kCrash) {
-            fails = is_crash && result.crashKind == target.crashKind;
-        } else if (!is_crash) {
-            const auto fired = backends::subtractFired(
-                result.firedSemantic, reference.firedSemantic);
-            if (!semantic_defect.empty()) {
-                fails = std::find(fired.begin(), fired.end(),
-                                  semantic_defect) != fired.end();
-            } else {
-                // Genuine miscompile: outputs must still differ with
-                // no seeded defect explaining it.
-                fails = fired.empty() &&
-                        difftest::allFinite(reference.outputs) &&
-                        !difftest::allClose(result.outputs,
-                                            reference.outputs,
-                                            difftest::CompareOptions());
-            }
-        }
-        cache.emplace(std::move(key), fails);
-        return fails;
-    };
-
-    std::vector<size_t> all(repro.sequence.size());
-    for (size_t i = 0; i < all.size(); ++i)
-        all[i] = i;
-    if (!still_fails(all))
+    const fuzz::GraphSequenceOracle oracle(bug.backend, repro->graph,
+                                           repro->leaves);
+    auto minimal = minimizeSequence(
+        bug, repro->sequence,
+        [&](const std::vector<std::string>& sequence) {
+            return oracle.query(sequence);
+        },
+        options);
+    if (!minimal)
         return false;
-
-    DdminStats stats;
-    const auto minimal = ddmin(repro.sequence.size(), still_fails, &stats,
-                               options.maxOracleRuns);
-
-    auto minimized = std::make_shared<fuzz::GraphSeqRepro>(repro);
-    minimized->sequence.clear();
-    for (size_t index : minimal)
-        minimized->sequence.push_back(repro.sequence[index]);
-    // The minimized repro's own trigger trace for the report: re-run
-    // it once; import-stage triggers are part of the repro's trace.
-    if (!semantic_defect.empty()) {
-        bug.minimizedDefects = {semantic_defect};
-    } else if (is_crash) {
-        DefectRegistry::TraceScope final_scope;
-        backend->runWithPasses(model, repro.leaves, minimized->sequence);
-        bug.minimizedDefects = final_scope.trace();
-    } else {
-        bug.minimizedDefects.clear(); // miscompile: no seeded defect
-    }
-    bug.originalSize = repro.sequence.size();
-    bug.minimizedSize = minimized->sequence.size();
-    bug.graphSeqRepro = std::move(minimized);
-    bug.minimized = true;
-    bug.dedupKey = fingerprintKey(bug);
+    repro->sequence = std::move(*minimal);
+    bug.graphSeqRepro = std::move(repro);
     return true;
 }
 
@@ -518,11 +350,11 @@ fingerprintKey(const BugRecord& bug)
 {
     // Crashes (and export crashes) are already keyed trace-free by
     // backend|tag|crash-kind; sequence records (TIR and graph-level)
-    // by backend|wrong|defect. Only graph-level wrong-results carry
-    // the raw trigger trace in their key — canonicalize it to the
-    // sorted relevant-defect set.
-    if (bug.kind != "wrong-result" || bug.seqRepro != nullptr ||
-        bug.graphSeqRepro != nullptr)
+    // by backend|wrong|defect; a minimized record by its fingerprint.
+    // Only raw graph-level wrong-results carry the trigger trace in
+    // their key — canonicalize it to the sorted relevant-defect set.
+    if (bug.kind != "wrong-result" || bug.minimized ||
+        bug.seqRepro != nullptr || bug.graphSeqRepro != nullptr)
         return bug.dedupKey;
     const auto relevant = relevantSemanticDefects(bug.defects, bug.backend);
     if (relevant.empty())
@@ -538,10 +370,46 @@ fingerprintKey(const BugRecord& bug)
     return key;
 }
 
+const BugRecord*
+findFingerprint(const std::vector<BugRecord>& records,
+                const std::string& fingerprint)
+{
+    for (const auto& record : records) {
+        if (fingerprintKey(record) == fingerprint)
+            return &record;
+    }
+    return nullptr;
+}
+
+ReproRun
+rerunRepro(const BugRecord& bug,
+           const std::vector<backends::Backend*>& backends)
+{
+    ReproRun run;
+    if (bug.graphRepro != nullptr) {
+        const auto& repro = *bug.graphRepro;
+        run.records = fuzz::bugsFromCase(
+            difftest::runCase(repro.graph, repro.leaves, backends));
+    } else if (bug.graphSeqRepro != nullptr) {
+        const auto& repro = *bug.graphSeqRepro;
+        const fuzz::GraphSequenceOracle oracle(bug.backend, repro.graph,
+                                               repro.leaves);
+        run.masked = oracle.masked();
+        run.records = oracle.query(repro.sequence);
+    } else if (bug.seqRepro != nullptr) {
+        const auto& repro = *bug.seqRepro;
+        run.records = fuzz::TirSequenceOracle(repro.program, repro.initial)
+                          .query(repro.sequence);
+    }
+    return run;
+}
+
 namespace {
 
-/** Cheap pre-check mirroring minimizeGraphBug's first early-out, so
- *  irreducible records skip the full-case oracle run entirely. */
+/** Cheap pre-check: a graph wrong-result with no attributable semantic
+ *  defect is keyed by its raw trace, which ddmin candidates cannot be
+ *  expected to reproduce; such records stay raw and skip the full-case
+ *  oracle run entirely. */
 bool
 graphTargetReducible(const BugRecord& bug)
 {
@@ -559,11 +427,9 @@ minimizeBug(BugRecord& bug,
     if (bug.graphRepro != nullptr) {
         if (!graphTargetReducible(bug))
             return false;
-        const difftest::CaseResult full_result = difftest::runCase(
-            bug.graphRepro->graph, bug.graphRepro->leaves, backends);
         CaseCache cache;
-        return minimizeGraphBug(bug, backends, options, full_result,
-                                cache);
+        return minimizeGraphBug(bug, backends, options,
+                                rerunRepro(bug, backends).records, cache);
     }
     if (bug.graphSeqRepro != nullptr)
         return minimizeGraphSeqBug(bug, options);
@@ -582,7 +448,7 @@ minimizeBugs(std::vector<BugRecord>& bugs,
     // full-case precondition once and share the candidate cache, so
     // per-record ddmins do not repeat each other's oracle runs.
     struct SharedRepro {
-        std::shared_ptr<const difftest::CaseResult> full;
+        std::shared_ptr<const Records> full;
         CaseCache cache;
     };
     std::map<const fuzz::GraphRepro*, SharedRepro> shared;
@@ -592,9 +458,8 @@ minimizeBugs(std::vector<BugRecord>& bugs,
                 continue;
             auto& state = shared[bug.graphRepro.get()];
             if (state.full == nullptr) {
-                state.full = std::make_shared<difftest::CaseResult>(
-                    difftest::runCase(bug.graphRepro->graph,
-                                      bug.graphRepro->leaves, backends));
+                state.full = std::make_shared<Records>(
+                    rerunRepro(bug, backends).records);
             }
             minimizeGraphBug(bug, backends, options, *state.full,
                              state.cache);
@@ -610,72 +475,8 @@ bool
 reproStillFires(const BugRecord& bug,
                 const std::vector<backends::Backend*>& backends)
 {
-    const FingerprintTarget target = targetOf(bug);
-    if (bug.graphRepro != nullptr) {
-        const auto& repro = *bug.graphRepro;
-        return caseMatches(
-            difftest::runCase(repro.graph, repro.leaves, backends), target);
-    }
-    if (bug.graphSeqRepro != nullptr) {
-        const auto& repro = *bug.graphSeqRepro;
-        NNSMITH_ASSERT(backends::isGraphPassBackend(bug.backend),
-                       "graph-sequence repro for non-graph-pass backend ",
-                       bug.backend);
-        const auto backend = bug.backend == "OrtLite"
-                                 ? backends::makeOrtLite()
-                                 : backends::makeTrtLite();
-        DefectRegistry::TraceScope trace_scope;
-        onnx::OnnxModel model;
-        try {
-            model = onnx::exportGraph(repro.graph);
-        } catch (const BackendError&) {
-            return false;
-        }
-        const auto reference =
-            backend->run(model, repro.leaves, backends::OptLevel::kO0);
-        if (reference.status == backends::RunResult::Status::kCrash)
-            return false;
-        const auto result =
-            backend->runWithPasses(model, repro.leaves, repro.sequence);
-        if (result.status == backends::RunResult::Status::kCrash)
-            return target.kind == "crash" &&
-                   result.crashKind == target.crashKind;
-        if (target.kind == "crash")
-            return false;
-        const auto fired = backends::subtractFired(
-            result.firedSemantic, reference.firedSemantic);
-        if (bug.defects.size() == 1)
-            return std::find(fired.begin(), fired.end(), bug.defects[0]) !=
-                   fired.end();
-        return fired.empty() && difftest::allFinite(reference.outputs) &&
-               !difftest::allClose(result.outputs, reference.outputs,
-                                   difftest::CompareOptions());
-    }
-    if (bug.seqRepro != nullptr) {
-        const auto& repro = *bug.seqRepro;
-        DefectRegistry::TraceScope trace_scope;
-        std::vector<std::string> fired;
-        try {
-            const auto optimized = tirlite::runTirPasses(
-                repro.program, repro.sequence, fired);
-            if (target.kind == "crash")
-                return false;
-            if (bug.defects.size() == 1)
-                return std::find(fired.begin(), fired.end(),
-                                 bug.defects[0]) != fired.end();
-            if (!fired.empty() || repro.initial.empty())
-                return false;
-            tirlite::Buffers reference = repro.initial;
-            tirlite::run(repro.program, reference);
-            tirlite::Buffers out = repro.initial;
-            tirlite::run(optimized, out);
-            return !buffersEquivalent(reference, out);
-        } catch (const BackendError& error) {
-            return target.kind == "crash" &&
-                   error.kind() == target.crashKind;
-        }
-    }
-    return false;
+    return findFingerprint(rerunRepro(bug, backends).records,
+                           fingerprintKey(bug)) != nullptr;
 }
 
 } // namespace nnsmith::reduce

@@ -13,11 +13,18 @@
  *    *same* defect-trace fingerprint still fires.
  *
  *  - **PassSequenceReducer** ddmins a flagged pass list to the minimal
- *    failing subsequence: TIR sequences under the bitwise tir_interp
- *    differential oracle, graph-level sequences (OrtLite/TrtLite,
- *    backends/graph_pass.h) under the owning backend's
- *    run(kO0)-vs-runWithPasses oracle (both contracts from
- *    fuzz/pass_fuzzer.h).
+ *    failing subsequence: TIR sequences and graph-level sequences
+ *    (OrtLite/TrtLite, backends/graph_pass.h) alike, each under the
+ *    one oracle of its kind that the pass-sequence fuzzer flags with
+ *    (fuzz/pass_fuzzer.h). The fixed part of the oracle — the TIR
+ *    reference interpretation, or the export and kO0 reference run —
+ *    is prepared once per repro and candidate queries are memoized.
+ *
+ * Every re-check — a ddmin candidate, reproStillFires, corpus replay
+ * (corpus/replay.h) — follows one rule: re-run the repro through the
+ * oracle of its kind (rerunRepro), re-derive the bug records the
+ * flagging fuzzer would report, and look for one carrying the target's
+ * canonical fingerprint (findFingerprint).
  *
  * A **fingerprint** pins down what must keep firing while the repro
  * shrinks: for crashes it is (backend, kind, crash kind) — the crash
@@ -49,18 +56,50 @@ struct ReduceOptions {
 /**
  * Canonical fingerprint key of a bug observation — the minimized dedup
  * key. Crashes keep their (backend, kind, crash-kind) identity;
+ * sequence records their backend|wrong|defect key; raw graph
  * wrong-results are keyed by the sorted set of semantic defects
- * relevant to the flagged backend instead of the raw trigger trace.
+ * relevant to the flagged backend instead of the raw trigger trace. A
+ * minimized record's dedup key already is its fingerprint, so the
+ * (editable) defects line never overrides it.
  */
 std::string fingerprintKey(const fuzz::BugRecord& bug);
 
 /**
- * Third field of a "backend|tag|kind" dedup key — the crash kind that
- * must re-fire for crash/export-crash records; empty when the key has
- * fewer than three fields. The single parser of the dedup-key wire
- * format, shared with corpus replay (corpus/replay.h).
+ * Third field of a "backend|tag|kind" dedup key — the crash kind for
+ * crash/export-crash records; empty when the key has fewer than three
+ * fields. The single parser of the dedup-key wire format, shared with
+ * the corpus parser (corpus/parser.h).
  */
 std::string crashKindOfKey(const std::string& dedup_key);
+
+/**
+ * The one fingerprint rule: the first of @p records whose
+ * fingerprintKey is @p fingerprint, or nullptr when the target did not
+ * fire.
+ */
+const fuzz::BugRecord*
+findFingerprint(const std::vector<fuzz::BugRecord>& records,
+                const std::string& fingerprint);
+
+/** What re-running a repro through the oracle of its kind observed. */
+struct ReproRun {
+    /** The records the flagging fuzzer would derive from the re-run. */
+    std::vector<fuzz::BugRecord> records;
+    /** Graph-pass sequence repros only: the fingerprint of the export
+     *  or import-stage crash that masks the pass stage (records is
+     *  then empty); empty otherwise. */
+    std::string masked;
+};
+
+/**
+ * Re-run @p bug's repro through the oracle of its kind: the difftest
+ * trio over @p backends for graph repros, fuzz::TirSequenceOracle for
+ * TIR sequences, fuzz::GraphSequenceOracle on a fresh instance of the
+ * owning backend for graph-pass sequences. Deterministic, and leaves
+ * no trigger-trace residue. No records when the bug carries no repro.
+ */
+ReproRun rerunRepro(const fuzz::BugRecord& bug,
+                    const std::vector<backends::Backend*>& backends);
 
 /**
  * Minimize one flagged bug record in place: ddmin its repro (graph or
@@ -83,9 +122,10 @@ void minimizeBugs(std::vector<fuzz::BugRecord>& bugs,
                   const ReduceOptions& options = ReduceOptions());
 
 /**
- * Re-run a (minimized) bug's repro through its oracle and check the
- * fingerprint still fires — the acceptance probe used by tests and
- * bench_reduce. True also for untouched records whose repro fires.
+ * Does a (minimized) bug's repro still fire its fingerprint? rerunRepro
+ * + findFingerprint(records, fingerprintKey(bug)); a masked case does
+ * not fire. The acceptance probe used by tests and bench_reduce. True
+ * also for untouched records whose repro fires.
  */
 bool reproStillFires(const fuzz::BugRecord& bug,
                      const std::vector<backends::Backend*>& backends);

@@ -501,7 +501,7 @@ TEST(CorpusReplay, ShiftedSequenceCrashClassifiesAsChanged)
     bug.dedupKey = "TVMLite|crash|tvm.tir.some_other_kind";
     auto outcome = corpus::replayRepro(bug, {});
     EXPECT_EQ(outcome.status, ReplayStatus::kChanged);
-    EXPECT_EQ(outcome.detail, "crash tvm.tir.cse_load");
+    EXPECT_EQ(outcome.detail, "TVMLite|crash|tvm.tir.cse_load");
 
     // Same record with a sequence that triggers nothing -> "fixed".
     auto defused = std::make_shared<fuzz::SeqRepro>(*bug.seqRepro);
@@ -510,6 +510,55 @@ TEST(CorpusReplay, ShiftedSequenceCrashClassifiesAsChanged)
     bug.dedupKey = "TVMLite|crash|tvm.tir.cse_load";
     outcome = corpus::replayRepro(bug, {});
     EXPECT_EQ(outcome.status, ReplayStatus::kFixed);
+}
+
+TEST(CorpusReplay, GraphSequenceReproClassifiesEveryVerdict)
+{
+    // A graph-pass sequence repro replays through its backend's
+    // run(kO0)-vs-runWithPasses oracle.
+    const std::filesystem::path data =
+        std::filesystem::path(NNSMITH_TEST_DATA_DIR) / "corpus";
+    const auto entries = corpus::loadCorpusIndex(data.string());
+    auto parse = [&](const std::string& fingerprint) {
+        const auto entry = std::find_if(
+            entries.begin(), entries.end(),
+            [&](const corpus::CorpusEntry& e) {
+                return e.fingerprint == fingerprint;
+            });
+        EXPECT_NE(entry, entries.end()) << fingerprint;
+        return corpus::parseRepro(readFile(data / entry->file));
+    };
+    const auto bug = parse("OrtLite|wrong|ort.simplify.slice_noop");
+    ASSERT_NE(bug.graphSeqRepro, nullptr);
+    EXPECT_EQ(corpus::replayRepro(bug, {}).status,
+              ReplayStatus::kStillFires);
+
+    // A sequence without the firing pass runs clean -> "fixed".
+    auto defused = bug;
+    auto repro = std::make_shared<fuzz::GraphSeqRepro>(*bug.graphSeqRepro);
+    repro->sequence = {"fuse.matmul_add_gemm"};
+    defused.graphSeqRepro = repro;
+    EXPECT_EQ(corpus::replayRepro(defused, {}).status,
+              ReplayStatus::kFixed);
+
+    // The same repro on record for another defect -> "changed".
+    auto shifted = bug;
+    shifted.dedupKey = "OrtLite|wrong|ort.misc.parallel_reorder";
+    EXPECT_EQ(corpus::replayRepro(shifted, {}).status,
+              ReplayStatus::kChanged);
+
+    // A model whose export crashes never reaches the pass stage: the
+    // recorded defect is masked, which is "changed", not "fixed".
+    const auto exporter = parse("Exporter|crash|export.scalar");
+    ASSERT_NE(exporter.graphRepro, nullptr);
+    auto masked = bug;
+    auto masked_repro =
+        std::make_shared<fuzz::GraphSeqRepro>(*bug.graphSeqRepro);
+    masked_repro->graph = exporter.graphRepro->graph;
+    masked_repro->leaves = exporter.graphRepro->leaves;
+    masked.graphSeqRepro = masked_repro;
+    EXPECT_EQ(corpus::replayRepro(masked, {}).status,
+              ReplayStatus::kChanged);
 }
 
 TEST(CorpusReplay, SequenceFingerprintIsAuthoritativeOverDefectsLine)

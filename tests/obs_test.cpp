@@ -409,7 +409,6 @@ TEST(ObsInertness, TelemetryOnOffIdentityAcrossModesAndShards)
     for (const auto mode : {WorkerMode::kThread, WorkerMode::kProcess}) {
         for (const int shards : {1, 2, 4}) {
             auto config = obsConfig(shards, mode);
-            config.telemetry = true;
             obs::ProgressOptions options;
             options.printToStderr = false;
             // Sanitizer builds run rounds 10x slower; a stall flag

@@ -9,6 +9,7 @@
 #include <filesystem>
 
 #include "backends/backend.h"
+#include "corpus/replay.h"
 #include "fuzz/parallel_campaign.h"
 #include "fuzz/pass_fuzzer.h"
 #include "graph/validate.h"
@@ -260,6 +261,47 @@ TEST(PassSequenceReducer, MinimalFailingSubsequence)
     ASSERT_TRUE(reduce::minimizeBug(again, {}));
     EXPECT_EQ(again.minimizedSize, bug.minimizedSize);
     EXPECT_EQ(again.seqRepro->sequence, bug.seqRepro->sequence);
+}
+
+TEST(PassSequenceReducer, FlaggedBugsRefireAndReplayBeforeAndAfterMinimizing)
+{
+    // Every bug a pass-sequence campaign flags, on each of the three
+    // registries, must re-fire under reproStillFires and replay as
+    // still-fires: as flagged, and again after minimizeBugs. The
+    // iterations run one derived seed each, as a campaign's do, but
+    // unmerged, so every raw record is checked.
+    auto owned = difftest::makeAllBackends();
+    std::vector<backends::Backend*> list;
+    for (auto& backend : owned)
+        list.push_back(backend.get());
+    for (const std::string backend : {"TVMLite", "OrtLite", "TrtLite"}) {
+        fuzz::PassSequenceFuzzer::Options options;
+        options.backend = backend;
+        std::vector<BugRecord> bugs;
+        for (uint64_t i = 0; i < 48; ++i) {
+            fuzz::PassSequenceFuzzer fuzzer(fuzz::deriveIterationSeed(7, i),
+                                            options);
+            for (auto& bug : fuzzer.iterate(list).bugs)
+                bugs.push_back(std::move(bug));
+        }
+        ASSERT_GT(bugs.size(), 0u) << backend;
+        auto expect_refire = [&](const char* stage) {
+            for (const auto& bug : bugs) {
+                EXPECT_TRUE(reduce::reproStillFires(bug, list))
+                    << stage << " " << bug.dedupKey;
+                const auto outcome = corpus::replayRepro(bug, list);
+                EXPECT_EQ(outcome.status,
+                          corpus::ReplayStatus::kStillFires)
+                    << stage << " " << bug.dedupKey << ": "
+                    << outcome.detail;
+            }
+        };
+        expect_refire("flagged");
+        reduce::minimizeBugs(bugs, list);
+        for (const auto& bug : bugs)
+            EXPECT_TRUE(bug.minimized) << bug.dedupKey;
+        expect_refire("minimized");
+    }
 }
 
 // ---- campaign integration -------------------------------------------------
