@@ -58,10 +58,8 @@ vennCampaign(const std::string& backend, const std::string& component,
         },
         [backend] {
             std::vector<std::unique_ptr<backends::Backend>> owned;
-            if (backend == "OrtLite")
-                owned.push_back(backends::makeOrtLite());
-            else if (backend == "TrtLite")
-                owned.push_back(backends::makeTrtLite());
+            if (backends::isGraphPassBackend(backend))
+                owned.push_back(backends::makeBackend(backend));
             return owned;
         });
     config.shards = shards;

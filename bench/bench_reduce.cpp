@@ -2,7 +2,7 @@
  * @file
  * Defect-reduction quality + overhead harness.
  *
- * Four sections:
+ * Five sections:
  *
  *  1. "graph reduction": a 200-iteration NNSmith campaign against the
  *     full backend trio with --minimize on. Every flagged case must be
@@ -11,16 +11,20 @@
  *     reports the median node-count reduction ratio and the dedup
  *     collapse (bug reports with vs without fingerprint rekeying).
  *
- *  2. "sequence reduction": the same over a PassSequenceFuzzer
+ *  2. "sequence reduction": the same over a TIR PassSequenceFuzzer
  *     campaign — median pass-count reduction ratio of the minimal
  *     failing subsequences.
  *
- *  3. "shard invariance": the minimizing campaign at shards 1, 2 and 4
+ *  3. "graph-sequence reduction": the same over the OrtLite+TrtLite
+ *     graph-pass PassSequenceFuzzer campaign
+ *     (bench::graphSequenceCampaign).
+ *
+ *  4. "shard invariance": the minimizing campaign at shards 1, 2 and 4
  *     must render byte-identically (fuzz::renderCampaignResult;
  *     minimization is per-iteration deterministic, so it composes with
  *     the sharded runner).
  *
- *  4. "overhead": wall-clock campaign throughput with minimization off
+ *  5. "overhead": wall-clock campaign throughput with minimization off
  *     vs on.
  *
  * BENCH_reduce.json at the repo root is a committed record of this
@@ -70,7 +74,8 @@ audit(const fuzz::CampaignResult& result,
     ReductionAudit out;
     for (const auto& [key, bug] : result.bugs) {
         const bool graph_bug = bug.graphRepro != nullptr;
-        if (!graph_bug && bug.seqRepro == nullptr)
+        if (!graph_bug && bug.seqRepro == nullptr &&
+            bug.graphSeqRepro == nullptr)
             continue;
         ++out.withRepro;
         if (!bug.minimized)
@@ -102,7 +107,7 @@ main(int argc, char** argv)
     for (auto& backend : owned)
         backend_list.push_back(backend.get());
 
-    // ---- 1 + 4. graph reduction & overhead ---------------------------
+    // ---- 1 + 5. graph reduction & overhead ---------------------------
     auto start = Clock::now();
     auto unminimized =
         bench::trioCampaign(options.seed, options.iters, "tvmlite", "");
@@ -138,7 +143,17 @@ main(int argc, char** argv)
                 "%zu verified, median pass ratio %.3f\n",
                 seqs.withRepro, seqs.minimized, seqs.verified, pass_ratio);
 
-    // ---- 3. shard invariance with --minimize -------------------------
+    // ---- 3. graph-pass sequence reduction ----------------------------
+    const auto graph_seq_result = fuzz::runParallelCampaign(
+        bench::graphSequenceCampaign(options.seed, options.iters, ""));
+    const ReductionAudit graph_seqs = audit(graph_seq_result, backend_list);
+    const double graph_pass_ratio = median(graph_seqs.ratios);
+    std::printf("graph-sequence reduction: %zu flagged, %zu minimized, "
+                "%zu verified, median pass ratio %.3f\n",
+                graph_seqs.withRepro, graph_seqs.minimized,
+                graph_seqs.verified, graph_pass_ratio);
+
+    // ---- 4. shard invariance with --minimize -------------------------
     const auto two = fuzz::runParallelCampaign(bench::trioCampaign(
         options.seed, options.iters, "tvmlite", "", "", 2,
         options.workerMode));
@@ -158,9 +173,11 @@ main(int argc, char** argv)
     const bool all_minimized =
         graphs.withRepro > 0 &&
         graphs.minimized == graphs.withRepro &&
-        seqs.minimized == seqs.withRepro;
+        seqs.minimized == seqs.withRepro &&
+        graph_seqs.minimized == graph_seqs.withRepro;
     const bool all_verified = graphs.verified == graphs.minimized &&
-                              seqs.verified == seqs.minimized;
+                              seqs.verified == seqs.minimized &&
+                              graph_seqs.verified == graph_seqs.minimized;
     const bool ratios_ok = node_ratio <= 0.5 && pass_ratio <= 0.5;
 
     bench::Json json;
@@ -187,6 +204,13 @@ main(int argc, char** argv)
         .field("minimized", seqs.minimized)
         .field("fingerprint_verified", seqs.verified)
         .field("median_pass_ratio", pass_ratio, 3)
+        .endObject();
+    json.key("graph_sequence_reduction")
+        .beginObject()
+        .field("flagged_with_repro", graph_seqs.withRepro)
+        .field("minimized", graph_seqs.minimized)
+        .field("fingerprint_verified", graph_seqs.verified)
+        .field("median_pass_ratio", graph_pass_ratio, 3)
         .endObject();
     json.key("sharded_campaign")
         .beginObject()

@@ -448,8 +448,8 @@ graphSequenceCampaign(uint64_t seed, size_t iters,
         },
         [] {
             std::vector<std::unique_ptr<backends::Backend>> owned;
-            owned.push_back(backends::makeOrtLite());
-            owned.push_back(backends::makeTrtLite());
+            for (const char* name : {"OrtLite", "TrtLite"})
+                owned.push_back(backends::makeBackend(name));
             return owned;
         });
     config.campaign.minimize = true;

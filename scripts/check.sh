@@ -38,6 +38,8 @@ echo "== tier-1: ctest =="
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "== minimization smoke: tiny --minimize campaign writes repro reports =="
+# Exits nonzero unless every flagged graph, TIR-sequence and graph-pass
+# sequence repro is minimized and re-fires its fingerprint.
 rm -rf build/repro-smoke
 ./build/bench/bench_reduce --iters 60 --report-dir build/repro-smoke \
     --out build/BENCH_reduce_smoke.json
@@ -78,7 +80,7 @@ echo "== tzer probe: fig8 prints the same in thread and process workers =="
 cmp build/fig8-thread.txt build/fig8-process.txt
 
 echo "== pass fuzz probe: sequence bins grow, shards merge identically =="
-./build/bench/bench_pass_fuzz --iters 200
+./build/bench/bench_pass_fuzz --iters 200 --out build/BENCH_pass_fuzz_smoke.json
 
 echo "== pass venn probe: three-backend pass fuzzing, shards {1,2,4} =="
 # Exits nonzero unless every backend's sequence bins are nonempty, the
@@ -102,8 +104,8 @@ echo "== corpus probe: every repro kind emits, round-trips and replays =="
 
 echo "== bench output: every --out file above is valid JSON =="
 scripts/check_docs.sh --validate-json build/BENCH_reduce_smoke.json \
-    build/BENCH_pass_venn_smoke.json build/BENCH_identity_smoke.json \
-    build/BENCH_corpus_smoke.json
+    build/BENCH_pass_fuzz_smoke.json build/BENCH_pass_venn_smoke.json \
+    build/BENCH_identity_smoke.json build/BENCH_corpus_smoke.json
 
 if [[ "${1:-}" != "--fast" ]]; then
     echo "== strict: -Wall -Wextra -Werror =="

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "backends/graph_pass.h"
 #include "support/logging.h"
 
 namespace nnsmith::backends {
@@ -46,7 +47,7 @@ Backend::run(const OnnxModel& model, const exec::LeafValues& leaves,
              OptLevel level)
 {
     return runGuarded([&](std::vector<std::string>& fired_semantic) {
-        return runImpl(model, leaves, level, fired_semantic);
+        return runImpl(model, leaves, level, nullptr, fired_semantic);
     });
 }
 
@@ -54,17 +55,24 @@ RunResult
 Backend::runWithPasses(const OnnxModel& model, const exec::LeafValues& leaves,
                        const std::vector<std::string>& pass_names)
 {
+    NNSMITH_ASSERT(isGraphPassBackend(name()), "backend ", name(),
+                   " has no graph-pass registry");
     return runGuarded([&](std::vector<std::string>& fired_semantic) {
-        return runPassesImpl(model, leaves, pass_names, fired_semantic);
+        return runImpl(model, leaves, OptLevel::kO3, &pass_names,
+                       fired_semantic);
     });
 }
 
-std::vector<Tensor>
-Backend::runPassesImpl(const OnnxModel&, const exec::LeafValues&,
-                       const std::vector<std::string>&,
-                       std::vector<std::string>&)
+std::unique_ptr<Backend>
+makeBackend(const std::string& name, uint64_t pass_fuzz_seed)
 {
-    NNSMITH_PANIC("backend ", name(), " has no graph-pass registry");
+    if (name == "OrtLite")
+        return makeOrtLite(pass_fuzz_seed);
+    if (name == "TVMLite")
+        return makeTvmLite(pass_fuzz_seed);
+    if (name == "TrtLite")
+        return makeTrtLite(pass_fuzz_seed);
+    NNSMITH_PANIC("unknown backend ", name);
 }
 
 const OnnxNode*

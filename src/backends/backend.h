@@ -59,20 +59,18 @@ class Backend {
 
   protected:
     /**
-     * Backend-specific compile+run; throws BackendError on crash.
+     * The backend's one compile+run body (import -> passes ->
+     * execute), shared by run() and runWithPasses(); throws
+     * BackendError on crash. At kO3 it runs @p pass_names when given
+     * (runWithPasses, graph-pass backends only), else the backend's
+     * own seeded pass stage; kO0 runs no pass.
      * @param fired_semantic collects semantic defect ids whose trigger
      * matched; run() perturbs the outputs for each.
      */
     virtual std::vector<tensor::Tensor>
     runImpl(const onnx::OnnxModel& model, const exec::LeafValues& leaves,
-            OptLevel level, std::vector<std::string>& fired_semantic) = 0;
-
-    /** runWithPasses() body; the default has no pass registry. */
-    virtual std::vector<tensor::Tensor>
-    runPassesImpl(const onnx::OnnxModel& model,
-                  const exec::LeafValues& leaves,
-                  const std::vector<std::string>& pass_names,
-                  std::vector<std::string>& fired_semantic);
+            OptLevel level, const std::vector<std::string>* pass_names,
+            std::vector<std::string>& fired_semantic) = 0;
 };
 
 /**
@@ -98,6 +96,11 @@ std::unique_ptr<Backend> makeTvmLite(uint64_t pass_fuzz_seed = 0);
 /** TrtLite. Same pass-fuzz contract as makeOrtLite: a nonzero seed
  *  randomizes the builder-tactic sequence per model. */
 std::unique_ptr<Backend> makeTrtLite(uint64_t pass_fuzz_seed = 0);
+
+/** The backend called @p name ("OrtLite" | "TVMLite" | "TrtLite"),
+ *  built by its make* function above; panics on any other name. */
+std::unique_ptr<Backend> makeBackend(const std::string& name,
+                                     uint64_t pass_fuzz_seed = 0);
 
 /**
  * Mark @p fraction of TVMLite's pattern-insensitive shared runtime

@@ -5,6 +5,7 @@
 
 #include "coverage/coverage.h"
 #include "support/logging.h"
+#include "tirlite/tir_passes.h"
 
 namespace nnsmith::backends {
 
@@ -50,26 +51,6 @@ findGraphPass(const std::string& backend, const std::string& name)
     return nullptr;
 }
 
-const std::vector<std::string>&
-defaultGraphPipeline(const std::string& backend)
-{
-    // Registration order IS the historical monolithic scan order, so
-    // the default pipeline is simply every registered pass in order.
-    static const auto make = [](const std::string& b) {
-        std::vector<std::string> names;
-        for (const auto& pass : graphPasses(b))
-            names.push_back(pass.name);
-        return names;
-    };
-    static const std::vector<std::string> ort = make("OrtLite");
-    static const std::vector<std::string> trt = make("TrtLite");
-    if (backend == "OrtLite")
-        return ort;
-    if (backend == "TrtLite")
-        return trt;
-    NNSMITH_PANIC("no graph-pass pipeline for backend ", backend);
-}
-
 void
 runGraphPasses(const onnx::OnnxModel& model, const std::string& backend,
                const std::vector<std::string>& pass_names,
@@ -83,35 +64,100 @@ runGraphPasses(const onnx::OnnxModel& model, const std::string& backend,
     }
 }
 
-void
-runGraphPassStage(const onnx::OnnxModel& model, const std::string& backend,
-                  uint64_t pass_fuzz_seed,
-                  std::vector<std::string>& fired_semantic)
+const std::vector<std::string>&
+passNames(const std::string& backend)
 {
-    if (pass_fuzz_seed == 0) {
-        runGraphPasses(model, backend, defaultGraphPipeline(backend),
-                       fired_semantic);
-        return;
+    static const auto names_of = [](const auto& registry) {
+        std::vector<std::string> names;
+        for (const auto& pass : registry)
+            names.push_back(pass.name);
+        return names;
+    };
+    static const std::vector<std::string> tvm =
+        names_of(tirlite::tirPasses());
+    static const std::vector<std::string> ort =
+        names_of(ortLiteGraphPasses());
+    static const std::vector<std::string> trt =
+        names_of(trtLiteGraphPasses());
+    if (backend == "TVMLite")
+        return tvm;
+    if (backend == "OrtLite")
+        return ort;
+    if (backend == "TrtLite")
+        return trt;
+    NNSMITH_PANIC("no pass registry for backend ", backend);
+}
+
+const std::vector<std::string>&
+defaultPipeline(const std::string& backend)
+{
+    if (backend == "TVMLite") {
+        // simplify-index before fold preserves the historical pipeline
+        // exactly: the nested-mod defect trigger inspects the
+        // *unfolded* index expressions, and everything downstream of
+        // fold sees the folded tree.
+        static const std::vector<std::string> tvm = {
+            "simplify-index",     "fold",           "unroll",
+            "vectorize-annotate", "dead-store-elim", "cse",
+        };
+        return tvm;
     }
-    Rng rng(pass_fuzz_seed ^ hashOnnxModel(model));
-    const auto sequence = drawGraphPassSequence(backend, rng);
-    recordGraphSequenceCoverage(backend, sequence);
-    runGraphPasses(model, backend, sequence, fired_semantic);
+    // Graph registration order IS the historical monolithic scan
+    // order, so the default pipeline is every registered pass in order.
+    return passNames(backend);
 }
 
 std::vector<std::string>
-drawGraphPassSequence(const std::string& backend, Rng& rng)
+drawPassSequence(const std::string& backend, Rng& rng)
 {
-    const auto& registry = graphPasses(backend);
+    const auto& registry = passNames(backend);
     std::vector<std::string> names;
-    for (const auto& pass : registry) {
+    for (const auto& name : registry) {
         if (rng.chance(0.6))
-            names.push_back(pass.name);
+            names.push_back(name);
     }
     if (names.empty())
-        names.push_back(registry[rng.index(registry.size())].name);
+        names.push_back(registry[rng.index(registry.size())]);
     rng.shuffle(names);
     return names;
+}
+
+std::vector<std::string>
+mutatePassSequence(const std::string& backend,
+                   const std::vector<std::string>& sequence, Rng& rng)
+{
+    const auto& registry = passNames(backend);
+    std::vector<std::string> out = sequence;
+    if (out.empty())
+        return {registry[rng.index(registry.size())]};
+    switch (rng.index(3)) {
+      case 0: { // splice
+        const auto& pass = registry[rng.index(registry.size())];
+        out.insert(out.begin() +
+                       static_cast<std::ptrdiff_t>(rng.index(out.size() + 1)),
+                   pass);
+        break;
+      }
+      case 1: { // truncate (keep nonempty)
+        if (out.size() >= 2)
+            out.erase(out.begin() +
+                      static_cast<std::ptrdiff_t>(rng.index(out.size())));
+        else
+            out.push_back(registry[rng.index(registry.size())]);
+        break;
+      }
+      default: { // reorder
+        if (out.size() >= 2) {
+            const size_t a = rng.index(out.size());
+            const size_t b = rng.index(out.size());
+            std::swap(out[a], out[b]);
+        } else {
+            out.push_back(registry[rng.index(registry.size())]);
+        }
+        break;
+      }
+    }
+    return out;
 }
 
 std::vector<std::string>
@@ -129,13 +175,26 @@ sequenceCoverageBins(const std::vector<std::string>& sequence)
 }
 
 void
-recordGraphSequenceCoverage(const std::string& backend,
-                            const std::vector<std::string>& sequence)
+recordSequenceCoverage(const std::string& backend,
+                       const std::vector<std::string>& sequence)
 {
     auto& registry = coverage::CoverageRegistry::instance();
     const std::string component = lowercased(backend) + "/pass/seq";
     for (const auto& bin : sequenceCoverageBins(sequence))
         registry.hitDynamic(component, bin, /*pass_only=*/true);
+}
+
+const std::vector<std::string>&
+stagePassSequence(const std::string& backend, uint64_t pass_fuzz_seed,
+                  const std::function<uint64_t()>& case_hash,
+                  std::vector<std::string>& drawn)
+{
+    if (pass_fuzz_seed == 0)
+        return defaultPipeline(backend);
+    Rng rng(pass_fuzz_seed ^ case_hash());
+    drawn = drawPassSequence(backend, rng);
+    recordSequenceCoverage(backend, drawn);
+    return drawn;
 }
 
 uint64_t

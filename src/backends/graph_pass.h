@@ -1,15 +1,18 @@
 /**
  * @file
- * The backend-agnostic graph-pass registry.
+ * The backend-agnostic graph-pass registry, and the one pass-sequence
+ * vocabulary of all three compilers under test.
  *
- * PR 3 made TVMLite's low-level TIR stage a *named pass registry*
- * (tirlite/tir_passes.h) so pass subset and order became a fuzzable
+ * TVMLite's low-level TIR stage is a *named pass registry*
+ * (tirlite/tir_passes.h), so pass subset and order are a fuzzable
  * dimension. This header lifts the same structure to the graph level:
  * OrtLite's pattern optimizer and TrtLite's builder tactics are
- * decomposed into named `GraphPass` entries, so `--pass-fuzz`, the
- * pass-sequence reducer, and corpus replay work uniformly across all
- * three compilers under test (the paper's Fig. 8 Venn, lifted to pass
- * space).
+ * decomposed into named `GraphPass` entries. Drawing, mutating,
+ * binning and staging a sequence is then one implementation keyed by
+ * backend name (passNames ... stagePassSequence below), so
+ * `--pass-fuzz`, the pass-sequence fuzzer and reducer, corpus-guided
+ * mutation and corpus replay work uniformly across the three (the
+ * paper's Fig. 8 Venn, lifted to pass space).
  *
  * Graph passes are *scan-only*: OrtLite and TrtLite execute models
  * through the shared interpreter, so a pass never rewrites the model —
@@ -28,6 +31,7 @@
 #ifndef NNSMITH_BACKENDS_GRAPH_PASS_H
 #define NNSMITH_BACKENDS_GRAPH_PASS_H
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -65,11 +69,6 @@ const std::vector<GraphPass>& graphPasses(const std::string& backend);
 const GraphPass* findGraphPass(const std::string& backend,
                                const std::string& name);
 
-/** The fixed default pipeline — the order the non-fuzzed kO3 compile
- *  uses. Equals the registration order of every registered pass. */
-const std::vector<std::string>& defaultGraphPipeline(
-    const std::string& backend);
-
 /**
  * Run an explicit pass sequence over @p model. Unknown names panic.
  * Semantic defect ids are appended to @p fired_semantic exactly as
@@ -82,29 +81,43 @@ void runGraphPasses(const onnx::OnnxModel& model,
                     const std::vector<std::string>& pass_names,
                     std::vector<std::string>& fired_semantic);
 
+// ---- the pass-sequence vocabulary, keyed by backend name ----------------
+//
+// One implementation for all three compilers: @p backend is "TVMLite"
+// (the TIR registry, tirlite/tir_passes.h) or "OrtLite"/"TrtLite" (the
+// graph registries above); any other name panics. What differs per
+// registry kind is only how a sequence runs (runTirPasses transforms
+// and dedups fired ids, runGraphPasses scans and keeps duplicates).
+
+/** The registry's pass names, in stable registration order. */
+const std::vector<std::string>& passNames(const std::string& backend);
+
 /**
- * The backend's kO3 pass stage: with @p pass_fuzz_seed == 0 run the
- * default pipeline; otherwise draw a randomized sequence from
- * `Rng(pass_fuzz_seed ^ hashOnnxModel(model))` — a pure function of
- * the test case, so sharded campaigns stay byte-identical — record
- * its sequence-coverage bins, and run it.
+ * The fixed default pipeline — the order the non-fuzzed kO3 compile
+ * uses. For the graph registries it is every registered pass in
+ * registration order; TVMLite's is simplify-index -> fold -> unroll ->
+ * vectorize-annotate -> dead-store-elim -> cse.
  */
-void runGraphPassStage(const onnx::OnnxModel& model,
-                       const std::string& backend,
-                       uint64_t pass_fuzz_seed,
-                       std::vector<std::string>& fired_semantic);
+const std::vector<std::string>& defaultPipeline(const std::string& backend);
 
 /** Draw a random pass sequence — a nonempty subset of the registry in
- *  random order — deterministically from @p rng (same idiom as
- *  tirlite::drawPassSequence). */
-std::vector<std::string> drawGraphPassSequence(const std::string& backend,
-                                               Rng& rng);
+ *  random order — deterministically from @p rng. */
+std::vector<std::string> drawPassSequence(const std::string& backend,
+                                          Rng& rng);
+
+/** Splice in a registered pass, drop an element, or swap two
+ *  positions (one of the three, drawn from @p rng). Every name in the
+ *  result is registered with @p backend and the result is nonempty. */
+std::vector<std::string>
+mutatePassSequence(const std::string& backend,
+                   const std::vector<std::string>& sequence, Rng& rng);
 
 /**
  * The sequence-coverage bins of @p sequence: length bucket, first and
- * last pass, and every adjacent ordered pass pair ("pair/<a>><b>").
- * Shared by recordGraphSequenceCoverage and bench_pass_venn (the
- * coverage registry exposes counts, not key strings).
+ * last pass, and every adjacent ordered pass pair ("pair/<a>><b>" —
+ * the pass-interaction structure). Shared by recordSequenceCoverage
+ * and bench_pass_venn (the coverage registry exposes counts, not key
+ * strings).
  */
 std::vector<std::string> sequenceCoverageBins(
     const std::vector<std::string>& sequence);
@@ -113,11 +126,27 @@ std::vector<std::string> sequenceCoverageBins(
  *  (pass-only sites). For TrtLite these bins describe the *fuzzer's
  *  input space*, not compiler internals — the closed-source analogue
  *  still exports no optimizer instrumentation (§5.1). */
-void recordGraphSequenceCoverage(const std::string& backend,
-                                 const std::vector<std::string>& sequence);
+void recordSequenceCoverage(const std::string& backend,
+                            const std::vector<std::string>& sequence);
+
+/**
+ * The seeded `--pass-fuzz` stage: the sequence one compile runs —
+ * OrtLite/TrtLite per model at kO3, TVMLite per lowered program.
+ * With @p pass_fuzz_seed == 0 it returns defaultPipeline(backend)
+ * itself: @p case_hash is not called, nothing is recorded and
+ * @p drawn stays untouched. Otherwise it draws into @p drawn from
+ * `Rng(pass_fuzz_seed ^ case_hash())` — a pure function of the test
+ * case, so sharded campaigns stay byte-identical — records its
+ * sequence-coverage bins, and returns @p drawn.
+ */
+const std::vector<std::string>&
+stagePassSequence(const std::string& backend, uint64_t pass_fuzz_seed,
+                  const std::function<uint64_t()>& case_hash,
+                  std::vector<std::string>& drawn);
 
 /** Structural FNV-1a hash of a model (over its stable text
- *  serialization) — the graph-level hashTirProgram analogue. */
+ *  serialization) — the graph-level hashTirProgram analogue, and the
+ *  case hash OrtLite/TrtLite pass to stagePassSequence. */
 uint64_t hashOnnxModel(const onnx::OnnxModel& model);
 
 /**

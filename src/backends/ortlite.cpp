@@ -402,27 +402,23 @@ class OrtLite final : public Backend {
   protected:
     std::vector<tensor::Tensor>
     runImpl(const OnnxModel& model, const exec::LeafValues& leaves,
-            OptLevel level,
+            OptLevel level, const std::vector<std::string>* pass_names,
             std::vector<std::string>& fired_semantic) override
     {
         importChecks(model);
         std::unordered_map<int, int> id_map;
         graph::Graph graph = onnx::importToGraph(model, &id_map);
-        if (level == OptLevel::kO3)
-            runGraphPassStage(model, "OrtLite", pass_fuzz_seed_,
-                              fired_semantic);
-        return executeImported(model, graph, id_map, leaves);
-    }
-
-    std::vector<tensor::Tensor>
-    runPassesImpl(const OnnxModel& model, const exec::LeafValues& leaves,
-                  const std::vector<std::string>& pass_names,
-                  std::vector<std::string>& fired_semantic) override
-    {
-        importChecks(model);
-        std::unordered_map<int, int> id_map;
-        graph::Graph graph = onnx::importToGraph(model, &id_map);
-        runGraphPasses(model, "OrtLite", pass_names, fired_semantic);
+        if (level == OptLevel::kO3) {
+            std::vector<std::string> drawn;
+            runGraphPasses(
+                model, "OrtLite",
+                pass_names != nullptr
+                    ? *pass_names
+                    : stagePassSequence(
+                          "OrtLite", pass_fuzz_seed_,
+                          [&] { return hashOnnxModel(model); }, drawn),
+                fired_semantic);
+        }
         return executeImported(model, graph, id_map, leaves);
     }
 

@@ -178,25 +178,21 @@ class TrtLite final : public Backend {
   protected:
     std::vector<tensor::Tensor>
     runImpl(const OnnxModel& model, const exec::LeafValues& leaves,
-            OptLevel level,
+            OptLevel level, const std::vector<std::string>* pass_names,
             std::vector<std::string>& fired_semantic) override
     {
         importStage(model, fired_semantic);
-        if (level == OptLevel::kO3)
-            runGraphPassStage(model, "TrtLite", pass_fuzz_seed_,
-                              fired_semantic);
-        std::unordered_map<int, int> id_map;
-        graph::Graph graph = onnx::importToGraph(model, &id_map);
-        return executeImported(model, graph, id_map, leaves);
-    }
-
-    std::vector<tensor::Tensor>
-    runPassesImpl(const OnnxModel& model, const exec::LeafValues& leaves,
-                  const std::vector<std::string>& pass_names,
-                  std::vector<std::string>& fired_semantic) override
-    {
-        importStage(model, fired_semantic);
-        runGraphPasses(model, "TrtLite", pass_names, fired_semantic);
+        if (level == OptLevel::kO3) {
+            std::vector<std::string> drawn;
+            runGraphPasses(
+                model, "TrtLite",
+                pass_names != nullptr
+                    ? *pass_names
+                    : stagePassSequence(
+                          "TrtLite", pass_fuzz_seed_,
+                          [&] { return hashOnnxModel(model); }, drawn),
+                fired_semantic);
+        }
         std::unordered_map<int, int> id_map;
         graph::Graph graph = onnx::importToGraph(model, &id_map);
         return executeImported(model, graph, id_map, leaves);

@@ -11,6 +11,7 @@
 #include <algorithm>
 
 #include "backends/backend.h"
+#include "backends/graph_pass.h"
 #include "coverage/coverage.h"
 #include "support/logging.h"
 #include "tirlite/tir_lower.h"
@@ -98,7 +99,7 @@ class TvmLite final : public Backend {
   protected:
     std::vector<tensor::Tensor>
     runImpl(const OnnxModel& model, const exec::LeafValues& leaves,
-            OptLevel level,
+            OptLevel level, const std::vector<std::string>*,
             std::vector<std::string>& fired_semantic) override
     {
         // Stale import-defect state must not leak across runs: a
@@ -524,20 +525,18 @@ class TvmLite final : public Backend {
                 ++bucket;
             covPass("schedule",
                     node.op->name() + "/n" + std::to_string(bucket));
-            if (passFuzzSeed_ != 0) {
-                // Pass-fuzz mode: randomized sequence, derived from
-                // the lowered program's structural hash so the draw is
-                // a pure function of the test case (shard-invariant —
-                // backend instances stay stateless across runs).
-                Rng rng(passFuzzSeed_ ^
-                        tirlite::hashTirProgram(*program));
-                const auto sequence = tirlite::drawPassSequence(rng);
-                tirlite::recordSequenceCoverage(sequence);
-                tirlite::runTirPasses(*program, sequence,
-                                      fired_semantic);
-            } else {
-                tirlite::runTirPipeline(*program, fired_semantic);
-            }
+            // Pass-fuzz mode draws the sequence from the lowered
+            // program's structural hash, so the draw is a pure
+            // function of the test case (shard-invariant — backend
+            // instances stay stateless across runs).
+            std::vector<std::string> drawn;
+            tirlite::runTirPasses(
+                *program,
+                stagePassSequence(
+                    "TVMLite", passFuzzSeed_,
+                    [&] { return tirlite::hashTirProgram(*program); },
+                    drawn),
+                fired_semantic);
         }
     }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "backends/graph_pass.h"
 #include "fuzz/pass_fuzzer.h"
 #include "support/logging.h"
 #include "tirlite/tir_interp.h"
@@ -104,11 +105,11 @@ TzerFuzzer::iterate(uint64_t iteration_seed,
             : tirlite::mutate(corpus_[it_rng.index(corpus_.size())],
                               it_rng);
 
+    const auto& pipeline = backends::defaultPipeline("TVMLite");
     outcome.bugs = fuzz::tirSequenceRecords(
-        tirlite::defaultTirPipeline(),
-        [&](std::vector<std::string>& fired_semantic) {
+        pipeline, [&](std::vector<std::string>& fired_semantic) {
             const auto optimized =
-                tirlite::runTirPipeline(program, fired_semantic);
+                tirlite::runTirPasses(program, pipeline, fired_semantic);
             auto buffers = tirlite::makeBuffers(optimized, it_rng);
             tirlite::run(optimized, buffers);
             return false; // no reference run: crashes and seeded
@@ -124,7 +125,7 @@ TzerFuzzer::iterate(uint64_t iteration_seed,
         // still ddmin that pipeline to the minimal failing subsequence.
         auto repro = std::make_shared<fuzz::SeqRepro>();
         repro->program = program;
-        repro->sequence = tirlite::defaultTirPipeline();
+        repro->sequence = pipeline;
         for (auto& bug : outcome.bugs)
             bug.seqRepro = repro;
     }

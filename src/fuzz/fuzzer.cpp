@@ -11,6 +11,18 @@ namespace nnsmith::fuzz {
 using difftest::CaseResult;
 using difftest::Verdict;
 
+VirtualMs
+CostModel::backendCompile(const std::string& backend) const
+{
+    if (backend == "OrtLite")
+        return backendCompileOrt;
+    if (backend == "TVMLite")
+        return backendCompileTvm;
+    if (backend == "TrtLite")
+        return backendCompileTrt;
+    NNSMITH_PANIC("no compile cost for backend ", backend);
+}
+
 std::vector<BugRecord>
 bugsFromCase(const CaseResult& result)
 {
@@ -95,14 +107,8 @@ executeGraphCaseBatch(const graph::Graph& graph,
         // Each lane is a full differential case: it pays the backend
         // compile+run virtual cost. What batching amortizes is the
         // per-iteration generation/search cost (added by the caller).
-        for (const auto* backend : backend_list) {
-            if (backend->name() == "OrtLite")
-                outcome.cost += cost.backendCompileOrt + cost.run;
-            else if (backend->name() == "TVMLite")
-                outcome.cost += cost.backendCompileTvm + cost.run;
-            else
-                outcome.cost += cost.backendCompileTrt + cost.run;
-        }
+        for (const auto* backend : backend_list)
+            outcome.cost += cost.backendCompile(backend->name()) + cost.run;
     }
     return outcome;
 }

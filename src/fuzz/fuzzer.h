@@ -121,6 +121,10 @@ struct CostModel {
     VirtualMs backendCompileTvm = 5600; ///< codegen makes TVM slower
     VirtualMs backendCompileTrt = 2800;
     VirtualMs run = 220;
+
+    /** The backendCompile* cost of the backend called @p backend
+     *  ("OrtLite" | "TVMLite" | "TrtLite"); panics on any other name. */
+    VirtualMs backendCompile(const std::string& backend) const;
 };
 
 /** The NNSmith fuzzer (generator + binning + gradient value search +

@@ -17,7 +17,6 @@
 #include "ops/broadcast.h"
 #include "ops/registry.h"
 #include "symbolic/expr.h"
-#include "tirlite/tir_passes.h"
 
 namespace nnsmith::fuzz {
 
@@ -506,45 +505,6 @@ perturbLeafValues(const GraphSeedCase& seed, Rng& rng)
     return out;
 }
 
-/** The same shape every sequence registry gets: splice a registered
- *  pass, drop an element, or swap two positions — never empty. */
-std::vector<std::string>
-mutateSequence(const std::vector<std::string>& sequence,
-               const std::vector<std::string>& registry, Rng& rng)
-{
-    std::vector<std::string> out = sequence;
-    if (out.empty())
-        return {registry[rng.index(registry.size())]};
-    switch (rng.index(3)) {
-      case 0: { // splice
-        const auto& pass = registry[rng.index(registry.size())];
-        out.insert(out.begin() +
-                       static_cast<std::ptrdiff_t>(rng.index(out.size() + 1)),
-                   pass);
-        break;
-      }
-      case 1: { // truncate (keep nonempty)
-        if (out.size() >= 2)
-            out.erase(out.begin() +
-                      static_cast<std::ptrdiff_t>(rng.index(out.size())));
-        else
-            out.push_back(registry[rng.index(registry.size())]);
-        break;
-      }
-      default: { // reorder
-        if (out.size() >= 2) {
-            const size_t a = rng.index(out.size());
-            const size_t b = rng.index(out.size());
-            std::swap(out[a], out[b]);
-        } else {
-            out.push_back(registry[rng.index(registry.size())]);
-        }
-        break;
-      }
-    }
-    return out;
-}
-
 /** Instance keys in GeneratedModel::instanceKeys() format, so mutant
  *  coverage lands in the same op-instance bins as fresh draws. */
 std::vector<std::string>
@@ -588,25 +548,6 @@ mutateGraphCase(const GraphSeedCase& seed, Rng& rng)
     }
     obs::counterAdd("mutate.graph.fallback");
     return perturbLeafValues(seed, rng);
-}
-
-std::vector<std::string>
-mutateTirSequence(const std::vector<std::string>& sequence, Rng& rng)
-{
-    std::vector<std::string> registry;
-    for (const auto& pass : tirlite::tirPasses())
-        registry.push_back(pass.name);
-    return mutateSequence(sequence, registry, rng);
-}
-
-std::vector<std::string>
-mutateGraphPassSequence(const std::string& backend,
-                        const std::vector<std::string>& sequence, Rng& rng)
-{
-    std::vector<std::string> registry;
-    for (const auto& pass : backends::graphPasses(backend))
-        registry.push_back(pass.name);
-    return mutateSequence(sequence, registry, rng);
 }
 
 // ---- MutationPool ----------------------------------------------------------
@@ -750,12 +691,11 @@ CorpusGuidedFuzzer::runGraphMutant(
             seq_backends.push_back(backend);
     }
     for (backends::Backend* backend : seq_backends) {
-        auto sequence =
-            backends::defaultGraphPipeline(backend->name());
+        auto sequence = backends::defaultPipeline(backend->name());
         const int steps = 1 + static_cast<int>(rng_.index(2));
         for (int s = 0; s < steps; ++s)
-            sequence =
-                mutateGraphPassSequence(backend->name(), sequence, rng_);
+            sequence = backends::mutatePassSequence(backend->name(),
+                                                    sequence, rng_);
         IterationOutcome seq = runGraphSequenceCase(
             *backend, mutant.graph, mutant.leaves, sequence,
             options_.cost);
@@ -776,7 +716,8 @@ CorpusGuidedFuzzer::runTirSeqMutant(const TirSeqSeedCase& seed)
     const int steps = static_cast<int>(rng_.index(3));
     for (int i = 0; i < steps; ++i)
         program = tirlite::mutate(program, rng_);
-    const auto sequence = mutateTirSequence(seed.sequence, rng_);
+    const auto sequence =
+        backends::mutatePassSequence("TVMLite", seed.sequence, rng_);
     return runTirSequenceCase(program, sequence, /*case_cost=*/500, rng_);
 }
 
@@ -798,7 +739,7 @@ CorpusGuidedFuzzer::runGraphSeqMutant(
     if (rng_.chance(0.5))
         mutant = mutateGraphCase(mutant, rng_);
     const auto sequence =
-        mutateGraphPassSequence(seed.backend, seed.sequence, rng_);
+        backends::mutatePassSequence(seed.backend, seed.sequence, rng_);
     IterationOutcome outcome = runGraphSequenceCase(
         *backend, mutant.graph, mutant.leaves, sequence, options_.cost);
     outcome.cost += options_.cost.generationPerOp / 4 *

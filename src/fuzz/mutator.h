@@ -25,9 +25,10 @@
  *    fails validation falls back deterministically to leaf-value
  *    perturbation, so **every mutant is valid by construction**.
  *  - **Sequence** (TIR and graph-pass repros): splice / truncate /
- *    reorder of the recorded high-yield pass sequence, drawing
- *    replacement passes only from the owning backend's registry, so
- *    every mutant sequence re-validates against that registry.
+ *    reorder of the recorded high-yield pass sequence
+ *    (backends::mutatePassSequence), drawing replacement passes only
+ *    from the owning backend's registry, so every mutant sequence
+ *    re-validates against that registry.
  *
  * Shard invariance: the pool is immutable after load (one parse of the
  * corpus dir, in index order, before any worker starts — so it
@@ -121,16 +122,6 @@ class MutationPool {
  * round-trip byte-identically.
  */
 GraphSeedCase mutateGraphCase(const GraphSeedCase& seed, Rng& rng);
-
-/** Splice/truncate/reorder a TIR pass sequence; every name in the
- *  result is a registered tirlite pass and the result is nonempty. */
-std::vector<std::string>
-mutateTirSequence(const std::vector<std::string>& sequence, Rng& rng);
-
-/** Same over @p backend's graph-pass registry (OrtLite/TrtLite). */
-std::vector<std::string>
-mutateGraphPassSequence(const std::string& backend,
-                        const std::vector<std::string>& sequence, Rng& rng);
 
 /**
  * The corpus-guided campaign fuzzer: wraps the campaign's fresh-case

@@ -29,16 +29,6 @@ joinSequence(const std::vector<std::string>& sequence)
     return joined;
 }
 
-std::unique_ptr<backends::Backend>
-makeGraphPassBackend(const std::string& name)
-{
-    NNSMITH_ASSERT(backends::isGraphPassBackend(name),
-                   "graph-pass sequence oracle for non-graph-pass backend ",
-                   name);
-    return name == "OrtLite" ? backends::makeOrtLite()
-                             : backends::makeTrtLite();
-}
-
 } // namespace
 
 PassSequenceFuzzer::PassSequenceFuzzer(uint64_t seed)
@@ -77,7 +67,7 @@ PassSequenceFuzzer::iterateTir()
         program = tirlite::mutate(program, rng_);
 
     // Sequence: random subset + order of the registry.
-    const auto sequence = tirlite::drawPassSequence(rng_);
+    const auto sequence = backends::drawPassSequence("TVMLite", rng_);
     return runTirSequenceCase(program, sequence, options_.caseCost, rng_);
 }
 
@@ -154,7 +144,7 @@ runTirSequenceCase(const tirlite::TirProgram& program,
     outcome.produced = true;
     outcome.cost = case_cost;
 
-    tirlite::recordSequenceCoverage(sequence);
+    backends::recordSequenceCoverage("TVMLite", sequence);
     outcome.instanceKeys.push_back("tirseq/" + joinSequence(sequence));
 
     // Differential oracle: unoptimized vs optimized interpretation
@@ -203,7 +193,7 @@ PassSequenceFuzzer::iterateGraph(
 
     // Sequence: random subset + order of the backend's registry.
     const auto sequence =
-        backends::drawGraphPassSequence(options_.backend, rng_);
+        backends::drawPassSequence(options_.backend, rng_);
 
     IterationOutcome outcome = runGraphSequenceCase(
         *backend, model->graph, leaves, sequence, options_.cost);
@@ -222,7 +212,7 @@ GraphSequenceOracle::GraphSequenceOracle(backends::Backend& backend,
 GraphSequenceOracle::GraphSequenceOracle(const std::string& backend,
                                          const graph::Graph& graph,
                                          const exec::LeafValues& leaves)
-    : owned_(makeGraphPassBackend(backend)), backend_(*owned_),
+    : owned_(backends::makeBackend(backend)), backend_(*owned_),
       leaves_(leaves)
 {
     prepare(graph);
@@ -317,7 +307,7 @@ runGraphSequenceCase(backends::Backend& backend, const graph::Graph& graph,
     IterationOutcome outcome;
     outcome.produced = true;
 
-    backends::recordGraphSequenceCoverage(backend_name, sequence);
+    backends::recordSequenceCoverage(backend_name, sequence);
     outcome.instanceKeys.push_back("passseq/" + backend_name + "/" +
                                    joinSequence(sequence));
 
@@ -325,10 +315,7 @@ runGraphSequenceCase(backends::Backend& backend, const graph::Graph& graph,
     if (!oracle.exported())
         return outcome;
     // Two compiles + two runs of virtual cost.
-    const VirtualMs compile =
-        backend_name == "TrtLite" ? cost.backendCompileTrt
-                                  : cost.backendCompileOrt;
-    outcome.cost += 2 * compile + 2 * cost.run;
+    outcome.cost += 2 * cost.backendCompile(backend_name) + 2 * cost.run;
 
     outcome.bugs = oracle.query(sequence);
     if (!outcome.bugs.empty()) {

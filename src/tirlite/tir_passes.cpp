@@ -601,20 +601,6 @@ findTirPass(const std::string& name)
     return nullptr;
 }
 
-const std::vector<std::string>&
-defaultTirPipeline()
-{
-    // simplify-index before fold preserves the historical pipeline
-    // exactly: the nested-mod defect trigger inspects the *unfolded*
-    // index expressions, and everything downstream of fold sees the
-    // folded tree.
-    static const std::vector<std::string> pipeline = {
-        "simplify-index", "fold",           "unroll",
-        "vectorize-annotate", "dead-store-elim", "cse",
-    };
-    return pipeline;
-}
-
 TirProgram
 runTirPasses(const TirProgram& program,
              const std::vector<std::string>& pass_names,
@@ -633,44 +619,6 @@ runTirPasses(const TirProgram& program,
         }
     }
     return out;
-}
-
-TirProgram
-runTirPipeline(const TirProgram& program,
-               std::vector<std::string>& fired_semantic)
-{
-    return runTirPasses(program, defaultTirPipeline(), fired_semantic);
-}
-
-std::vector<std::string>
-drawPassSequence(Rng& rng)
-{
-    const auto& registry = tirPasses();
-    std::vector<std::string> names;
-    for (const auto& pass : registry) {
-        if (rng.chance(0.6))
-            names.push_back(pass.name);
-    }
-    if (names.empty())
-        names.push_back(registry[rng.index(registry.size())].name);
-    rng.shuffle(names);
-    return names;
-}
-
-void
-recordSequenceCoverage(const std::vector<std::string>& sequence)
-{
-    if (sequence.empty())
-        return;
-    auto& registry = CoverageRegistry::instance();
-    const auto hit = [&registry](const std::string& key) {
-        registry.hitDynamic("tvmlite/pass/seq", key, /*pass_only=*/true);
-    };
-    hit("len/" + std::to_string(sequence.size()));
-    hit("first/" + sequence.front());
-    hit("last/" + sequence.back());
-    for (size_t i = 0; i + 1 < sequence.size(); ++i)
-        hit("pair/" + sequence[i] + ">" + sequence[i + 1]);
 }
 
 namespace {

@@ -8,8 +8,10 @@
  * bug class Tzer targets). Each pass is instrumented with dynamic
  * coverage branches under "tvmlite/pass/<pass>" (pass-only) and hosts
  * the tvm.tir.* seeded defects. See DESIGN.md "TIR pass pipeline &
- * sequence fuzzing". The graph-level analogue for OrtLite/TrtLite is
- * backends/graph_pass.h.
+ * sequence fuzzing". The default pipeline and the sequence
+ * draw/mutate/coverage helpers are shared with the graph-level
+ * registries of OrtLite/TrtLite (backends/graph_pass.h, keyed by
+ * backend name "TVMLite").
  */
 #ifndef NNSMITH_TIRLITE_TIR_PASSES_H
 #define NNSMITH_TIRLITE_TIR_PASSES_H
@@ -42,13 +44,6 @@ const std::vector<TirPass>& tirPasses();
 const TirPass* findTirPass(const std::string& name);
 
 /**
- * The fixed default pipeline (simplify-index -> fold -> unroll ->
- * vectorize-annotate -> dead-store-elim -> cse) — the order the
- * non-fuzzed TVMLite compile uses.
- */
-const std::vector<std::string>& defaultTirPipeline();
-
-/**
  * Run an explicit pass sequence. Unknown names panic. Semantic defect
  * ids are appended to @p fired_semantic **deduplicated** — a defect
  * firing twice (two triggers in one program, or one pass run twice in
@@ -57,26 +52,6 @@ const std::vector<std::string>& defaultTirPipeline();
 TirProgram runTirPasses(const TirProgram& program,
                         const std::vector<std::string>& pass_names,
                         std::vector<std::string>& fired_semantic);
-
-/** Run the default pipeline (shorthand for runTirPasses). */
-TirProgram runTirPipeline(const TirProgram& program,
-                          std::vector<std::string>& fired_semantic);
-
-/**
- * Draw a random pass sequence — a nonempty subset of the registry in
- * random order — deterministically from @p rng. Used by the
- * pass-sequence fuzzer (fuzz/pass_fuzzer.h) and by TVMLite's
- * pass-fuzz mode (backends/backend.h makeTvmLite).
- */
-std::vector<std::string> drawPassSequence(Rng& rng);
-
-/**
- * Record the pass-sequence coverage bins of @p sequence under
- * "tvmlite/pass/seq": length bucket, first/last pass, and every
- * adjacent ordered pass pair ("pair/<a>><b>" — the pass-interaction
- * structure). All bins are pass-only sites.
- */
-void recordSequenceCoverage(const std::vector<std::string>& sequence);
 
 /**
  * Structural hash of a program (FNV-1a over the expression/statement

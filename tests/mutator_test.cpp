@@ -86,14 +86,14 @@ TEST(Mutator, SequenceMutationIsSeedDeterministic)
     const auto pool = fuzz::MutationPool::fromCorpusDir(goldenDir());
     for (const auto& seed : pool.tirSeqSeeds()) {
         Rng a(7), b(7);
-        EXPECT_EQ(fuzz::mutateTirSequence(seed.sequence, a),
-                  fuzz::mutateTirSequence(seed.sequence, b));
+        EXPECT_EQ(backends::mutatePassSequence("TVMLite", seed.sequence, a),
+                  backends::mutatePassSequence("TVMLite", seed.sequence, b));
     }
     for (const auto& seed : pool.graphSeqSeeds()) {
         Rng a(7), b(7);
         EXPECT_EQ(
-            fuzz::mutateGraphPassSequence(seed.backend, seed.sequence, a),
-            fuzz::mutateGraphPassSequence(seed.backend, seed.sequence, b));
+            backends::mutatePassSequence(seed.backend, seed.sequence, a),
+            backends::mutatePassSequence(seed.backend, seed.sequence, b));
     }
 }
 
@@ -128,9 +128,9 @@ TEST(Mutator, MutatedSequencesStayInsideTheOwningRegistry)
     std::set<std::string> tir_names;
     for (const auto& pass : tirlite::tirPasses())
         tir_names.insert(pass.name);
-    auto sequence = tirlite::defaultTirPipeline();
+    auto sequence = backends::defaultPipeline("TVMLite");
     for (int i = 0; i < 200; ++i) {
-        sequence = fuzz::mutateTirSequence(sequence, rng);
+        sequence = backends::mutatePassSequence("TVMLite", sequence, rng);
         ASSERT_FALSE(sequence.empty());
         for (const auto& name : sequence)
             ASSERT_TRUE(tir_names.count(name) != 0) << name;
@@ -139,9 +139,9 @@ TEST(Mutator, MutatedSequencesStayInsideTheOwningRegistry)
         std::set<std::string> names;
         for (const auto& pass : backends::graphPasses(backend))
             names.insert(pass.name);
-        auto graph_sequence = backends::defaultGraphPipeline(backend);
+        auto graph_sequence = backends::defaultPipeline(backend);
         for (int i = 0; i < 200; ++i) {
-            graph_sequence = fuzz::mutateGraphPassSequence(
+            graph_sequence = backends::mutatePassSequence(
                 backend, graph_sequence, rng);
             ASSERT_FALSE(graph_sequence.empty());
             for (const auto& name : graph_sequence)

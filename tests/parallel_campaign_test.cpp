@@ -242,8 +242,7 @@ graphPassFuzzConfig(const std::string& backend,
     };
     config.backendFactory = [backend] {
         std::vector<std::unique_ptr<backends::Backend>> owned;
-        owned.push_back(backend == "OrtLite" ? backends::makeOrtLite()
-                                             : backends::makeTrtLite());
+        owned.push_back(backends::makeBackend(backend));
         return owned;
     };
     return config;

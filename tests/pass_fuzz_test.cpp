@@ -1,13 +1,15 @@
-/** Tests for randomized TIR pass sequences: the drawPassSequence /
- *  recordSequenceCoverage layer, the semantics-preservation property
- *  of every registry pass under arbitrary orders, and the
- *  PassSequenceFuzzer's differential oracle. */
+/** Tests for randomized TIR pass sequences: the TVMLite side of the
+ *  drawPassSequence / recordSequenceCoverage vocabulary, the
+ *  semantics-preservation property of every registry pass under
+ *  arbitrary orders, and the PassSequenceFuzzer's differential
+ *  oracle. */
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <set>
 
 #include "backends/defects.h"
+#include "backends/graph_pass.h"
 #include "coverage/coverage.h"
 #include "fuzz/pass_fuzzer.h"
 #include "tirlite/tir_interp.h"
@@ -52,9 +54,10 @@ TEST(PassSequence, DrawIsSeedDeterministic)
     Rng a(42), b(42), c(43);
     bool diverged = false;
     for (int i = 0; i < 20; ++i) {
-        const auto from_a = tirlite::drawPassSequence(a);
-        EXPECT_EQ(from_a, tirlite::drawPassSequence(b));
-        diverged = diverged || from_a != tirlite::drawPassSequence(c);
+        const auto from_a = backends::drawPassSequence("TVMLite", a);
+        EXPECT_EQ(from_a, backends::drawPassSequence("TVMLite", b));
+        diverged = diverged ||
+                   from_a != backends::drawPassSequence("TVMLite", c);
     }
     EXPECT_TRUE(diverged);
 }
@@ -63,7 +66,7 @@ TEST(PassSequence, EveryDrawnNameResolvesInRegistry)
 {
     Rng rng(5);
     for (int i = 0; i < 50; ++i) {
-        const auto sequence = tirlite::drawPassSequence(rng);
+        const auto sequence = backends::drawPassSequence("TVMLite", rng);
         ASSERT_FALSE(sequence.empty());
         for (const auto& name : sequence)
             EXPECT_NE(tirlite::findTirPass(name), nullptr) << name;
@@ -76,8 +79,8 @@ TEST(PassSequence, CoverageBinsRegisterUnderSeqComponent)
     const size_t before = registry.sitesRegistered("tvmlite/pass/seq");
     // A repeated pass is never drawn by drawPassSequence, so its
     // adjacent-pair bin cannot exist yet.
-    tirlite::recordSequenceCoverage(
-        {"strength-reduce", "strength-reduce"});
+    backends::recordSequenceCoverage(
+        "TVMLite", {"strength-reduce", "strength-reduce"});
     EXPECT_GT(registry.sitesRegistered("tvmlite/pass/seq"), before);
 }
 
@@ -107,7 +110,7 @@ TEST(PassSequence, RandomSequencesPreserveSemantics)
         tirlite::TirProgram program = tirlite::randomProgram(rng);
         for (size_t m = rng.index(3); m > 0; --m)
             program = tirlite::mutate(program, rng);
-        const auto sequence = tirlite::drawPassSequence(rng);
+        const auto sequence = backends::drawPassSequence("TVMLite", rng);
         std::vector<std::string> fired;
         const auto optimized =
             tirlite::runTirPasses(program, sequence, fired);

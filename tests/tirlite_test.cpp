@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "backends/defects.h"
+#include "backends/graph_pass.h"
 #include "graph/graph.h"
 #include "ops/binary.h"
 #include "ops/elementwise.h"
@@ -19,6 +20,15 @@ using backends::DefectRegistry;
 using tensor::DType;
 using tensor::Shape;
 using tensor::TensorType;
+
+/** TVMLite's non-fuzzed TIR stage: the default pipeline. */
+TirProgram
+runDefaultPipeline(const TirProgram& program,
+                   std::vector<std::string>& fired)
+{
+    return runTirPasses(program, backends::defaultPipeline("TVMLite"),
+                        fired);
+}
 
 /** b1[i] = b0[i] + 1 over 4 elements. */
 TirProgram
@@ -145,7 +155,7 @@ TEST(TirPasses, PipelinePreservesSemanticsOnCleanPrograms)
     DefectRegistry::TraceScope trace_scope;
     const auto program = addOneProgram();
     std::vector<std::string> fired;
-    const auto optimized = runTirPipeline(program, fired);
+    const auto optimized = runDefaultPipeline(program, fired);
     EXPECT_TRUE(fired.empty());
     Buffers a = {{1, 2, 3, 4}, {0, 0, 0, 0}};
     Buffers b = a;
@@ -168,9 +178,9 @@ TEST(TirPasses, NestedModTriggersSimplifyDefect)
         0, 8, TirStmt::store(1, nested, TirExpr::load(0, i)));
     std::vector<std::string> fired;
     DefectRegistry::TraceScope trace_scope;
-    EXPECT_THROW(runTirPipeline(program, fired), BackendError);
+    EXPECT_THROW(runDefaultPipeline(program, fired), BackendError);
     DefectRegistry::instance().setEnabled("tvm.tir.simplify_mod", false);
-    EXPECT_NO_THROW(runTirPipeline(program, fired));
+    EXPECT_NO_THROW(runDefaultPipeline(program, fired));
     DefectRegistry::instance().setEnabled("tvm.tir.simplify_mod", true);
 }
 
@@ -185,7 +195,7 @@ TEST(TirPasses, DeadStoreDefectIsSemanticNotCrash)
     });
     std::vector<std::string> fired;
     DefectRegistry::TraceScope trace_scope;
-    runTirPipeline(program, fired);
+    runDefaultPipeline(program, fired);
     EXPECT_EQ(fired, std::vector<std::string>{"tvm.tir.dead_store"});
 }
 
@@ -206,7 +216,7 @@ TEST(TirPasses, DeadStoreSemanticFiringIsDeduplicated)
     });
     std::vector<std::string> fired;
     DefectRegistry::TraceScope trace_scope;
-    runTirPipeline(program, fired);
+    runDefaultPipeline(program, fired);
     EXPECT_EQ(fired, std::vector<std::string>{"tvm.tir.dead_store"});
 }
 
@@ -219,7 +229,7 @@ TEST(TirPasses, RegistryExposesNamedPasses)
           "strength-reduce"})
         EXPECT_NE(findTirPass(name), nullptr) << name;
     EXPECT_EQ(findTirPass("no-such-pass"), nullptr);
-    for (const auto& name : defaultTirPipeline())
+    for (const auto& name : backends::defaultPipeline("TVMLite"))
         EXPECT_NE(findTirPass(name), nullptr) << name;
 }
 
