@@ -4,6 +4,8 @@
 #   scripts/check.sh            # docs check + build + ctest, then strict build
 #   scripts/check.sh --fast     # skip the strict build
 #   scripts/check.sh --sanitize # the ASan+UBSan build + ctest (own CI job)
+#   scripts/check.sh --tsan     # ThreadSanitizer over the campaign fabric
+#                               # tests on a z3-less build (own CI job)
 #
 # CI (.github/workflows/ci.yml) runs exactly this script, so CI failures
 # reproduce locally by construction.
@@ -21,9 +23,36 @@ run_sanitize() {
     ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
 }
 
+# libz3 is not TSan-instrumented and reports false lock errors, so this
+# build leaves z3 out. It runs only the fabric's tests: the full suite
+# on a z3-less build stalls in graph_pass_test (ROADMAP item 7(a)).
+run_tsan() {
+    echo "== tsan: ThreadSanitizer over the campaign fabric =="
+    local tests=(parallel_campaign_test fabric_test obs_test)
+    cmake -B build-tsan -S . -DNNSMITH_WITH_Z3=OFF \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS="-fsanitize=thread"
+    cmake --build build-tsan -j "$JOBS" --target "${tests[@]}"
+    local log=build-tsan/tsan.log
+    : > "$log"
+    for test in "${tests[@]}"; do
+        (cd build-tsan && "./$test") 2>&1 | tee -a "$log"
+    done
+    if grep -q "WARNING: ThreadSanitizer" "$log"; then
+        echo "check.sh: ThreadSanitizer reported a race; see $log"
+        exit 1
+    fi
+}
+
 if [[ "${1:-}" == "--sanitize" ]]; then
     run_sanitize
     echo "== check.sh: sanitize green =="
+    exit 0
+fi
+
+if [[ "${1:-}" == "--tsan" ]]; then
+    run_tsan
+    echo "== check.sh: tsan green =="
     exit 0
 fi
 
@@ -72,7 +101,7 @@ scripts/check_docs.sh --validate-telemetry \
 
 echo "== tzer probe: fig8 prints the same in thread and process workers =="
 # Tzer keeps a corpus across iterations and runs as one in-order shard;
-# both worker runtimes must deliver its iterations in order.
+# both worker modes must deliver its iterations in order.
 ./build/bench/fig8_tzer_venn --iters 20 --worker-mode thread \
     > build/fig8-thread.txt
 ./build/bench/fig8_tzer_venn --iters 20 --worker-mode process \

@@ -50,7 +50,7 @@ mergeShardResults(const std::vector<ShardResult>& shards,
     }
 
     // Replay the records in global index order. Records arrive in wire
-    // format regardless of the worker runtime: hit site keys are
+    // format regardless of the worker mode: hit site keys are
     // interned into *this* process's registry and bug documents parsed
     // back through the corpus machinery, so thread and process shards
     // merge identically.
@@ -144,15 +144,10 @@ runParallelCampaign(const ParallelCampaignConfig& config)
         // merged campaign result is unchanged by --corpus and stays
         // byte-identical for any shard count.
         obs::PhaseSpan span("replay");
-        coverage::CoverageCollector scratch;
-        auto owned = config.backendFactory();
-        std::vector<backends::Backend*> backend_list;
-        backend_list.reserve(owned.size());
-        for (auto& backend : owned)
-            backend_list.push_back(backend.get());
+        ShardBackends scratch(config.backendFactory);
         try {
             regressions = corpus::replayCorpus(config.campaign.corpusDir,
-                                               backend_list);
+                                               scratch.list);
         } catch (const corpus::ParseError& error) {
             // A missing or malformed index is a configuration error
             // (mistyped --corpus), not an internal failure.
@@ -188,15 +183,13 @@ runParallelCampaign(const ParallelCampaignConfig& config)
         effective.progress = std::make_shared<obs::ProgressAggregator>();
     const auto progress = effective.progress;
 
-    // Execute the rounds on the configured worker runtime — threads or
-    // forked processes; the wire-format shard results merge the same
-    // either way.
-    const auto runtime = makeWorkerRuntime(effective.workerMode);
+    // Execute the rounds on thread or process shards; the wire-format
+    // shard results merge the same either way.
     if (progress != nullptr)
-        progress->attach(config.shards, runtime->name());
+        progress->attach(config.shards, workerModeName(config.workerMode));
     std::vector<ShardResult> results;
     try {
-        results = runtime->runShards(effective);
+        results = runShards(effective);
     } catch (...) {
         if (progress != nullptr)
             progress->finish(); // unstick the \r line first

@@ -3,11 +3,11 @@
  * Sharded parallel campaign orchestrator — the campaign fabric, the
  * one campaign driver.
  *
- * Runs one logical fuzzing campaign as N independent shards on a
- * worker runtime (fuzz/worker_runtime.h: an in-process std::thread
- * pool, or forked worker processes streaming results over pipes) and
- * deterministically merges the shard results back into a single
- * CampaignResult. The merged result is a pure function of (master
+ * Runs one logical fuzzing campaign as N independent shards — on one
+ * persistent std::thread per shard, or one forked worker process per
+ * shard streaming results over pipes, under one round coordinator
+ * (fuzz/worker_runtime.h) — and deterministically merges the shard
+ * results back into a single CampaignResult. The merged result is a pure function of (master
  * seed, campaign config) — *independent of the shard count, the
  * worker mode and scheduling* — so `--workers 4 --worker-mode process`
  * produces byte-identical coverage sets, bug dedup keys, instance keys
@@ -63,14 +63,15 @@ using BackendFactory =
     std::function<std::vector<std::unique_ptr<backends::Backend>>()>;
 
 /**
- * How shard workers execute (fuzz/worker_runtime.h).
+ * Where shard workers execute (fuzz/worker_runtime.h).
  *
- * kThread: one std::thread per shard in this process — the historical
- * behavior, bit-for-bit. kProcess: one forked worker process per
- * shard, streaming wire-format records back over a pipe; a worker
- * that dies mid-block is respawned and its block re-run
- * deterministically from the iteration-seed stream, so a crashing
- * test case cannot take the campaign down with it.
+ * kThread: one persistent std::thread per shard in this process.
+ * kProcess: one forked worker process per shard, streaming
+ * wire-format records back over a pipe; a worker that dies mid-block
+ * is respawned and its block re-run deterministically from the
+ * iteration-seed stream, so a crashing test case cannot take the
+ * campaign down with it. Both modes share one coordinator and one
+ * fault policy; the merged result is identical.
  */
 enum class WorkerMode { kThread, kProcess };
 
@@ -107,11 +108,11 @@ struct ParallelCampaignConfig {
 
     /**
      * Live progress aggregation (obs/progress.h). When set, the
-     * runtime attaches it, feeds it per-round heartbeats and liveness
-     * transitions (stalled / crashed / errored workers) and finishes
-     * it after the last round. Process workers send telemetry frames
-     * (heartbeats, per-round metrics deltas) whenever this is set or
-     * metrics are enabled (obs::metricsEnabled). Telemetry is inert by
+     * coordinator attaches it, feeds it per-round heartbeats and
+     * liveness transitions (stalled / crashed / errored workers) and
+     * finishes it after the last round. Workers send heartbeats (and
+     * process workers their per-round metrics deltas) whenever this is
+     * set or metrics are enabled (obs::metricsEnabled). Telemetry is inert by
      * contract (DESIGN.md "Telemetry"): the merged result is
      * byte-identical with it on or off — it only adds observation,
      * never behavior.
@@ -140,7 +141,7 @@ struct ShardResult {
      * campaign iteration sequence. Payloads are held in the canonical
      * wire format (fuzz/wire.h): coverage hits as site keys (not
      * process-local BranchIds), bugs as rendered repro documents.
-     * Both worker runtimes produce exactly this; the merge consumes
+     * Both worker modes produce exactly this; the merge consumes
      * nothing else, so records are process-portable by construction.
      */
     struct IterationRecord {

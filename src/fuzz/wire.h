@@ -23,7 +23,7 @@
  *
  * Round trip: decodeRecords(encodeRecords(rs)) reproduces rs exactly,
  * and re-encoding is byte-identical — the regression oracle for the
- * whole fabric (tests/fabric_test.cpp). Worker runtimes
+ * whole fabric (tests/fabric_test.cpp). Shard workers
  * (fuzz/worker_runtime.h) produce records in this format whether they
  * run as threads or as forked processes streaming over pipes, and
  * mergeShardResults consumes nothing else.
@@ -46,7 +46,7 @@ namespace nnsmith::fuzz::wire {
  * through corpus::renderRepro (the canonical repro document — the
  * graph side re-runs the ONNX export, so callers mid-campaign must
  * scope the defect trace and drain their CoverageCollector
- * afterwards, as the worker runtimes do); repro-less records render
+ * afterwards, as shard workers do); repro-less records render
  * as a header-only document.
  */
 std::string encodeBug(const BugRecord& bug);

@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include <poll.h>
@@ -24,12 +25,21 @@
 
 namespace nnsmith::fuzz {
 
+ShardBackends::ShardBackends(const BackendFactory& factory)
+    : owned(factory())
+{
+    list.reserve(owned.size());
+    for (auto& backend : owned)
+        list.push_back(backend.get());
+    collector.take(); // drop backend-construction hits
+}
+
 namespace {
 
 /**
  * Execute one self-seeded iteration and capture its wire-format
- * record. Shared by both runtimes, so a record's bytes are identical
- * whether the worker is a thread or a forked process.
+ * record, so a record's bytes are identical whether the worker is a
+ * thread or a forked process.
  *
  * The collector must be active on this thread and already drained of
  * backend-construction hits. Minimization re-runs the oracle and bug
@@ -73,254 +83,223 @@ runOneIteration(const ParallelCampaignConfig& config, size_t index,
     return record;
 }
 
-/** The strided start index for @p shard inside [begin, end). */
-size_t
-stridedStart(size_t begin, int shard, int shard_count)
-{
-    const size_t stride = static_cast<size_t>(shard_count);
-    return begin +
-           (static_cast<size_t>(shard) + stride - begin % stride) %
-               stride;
-}
-
-// ---------------------------------------------------------------------------
-// ThreadRuntime
-// ---------------------------------------------------------------------------
+/** A shard worker's answer to one posted round. */
+struct RoundReply {
+    enum class Kind { kOk, kError, kCrash };
+    /** kCrash until a transport has read a whole reply. */
+    Kind kind = Kind::kCrash;
+    std::vector<ShardResult::IterationRecord> records;
+    /** Cumulative liveness, sent when telemetry is on. */
+    std::optional<obs::Heartbeat> heartbeat;
+    std::string error; ///< kError: the worker's message
+};
 
 /**
- * Round-synchronized worker pool. The coordinator publishes a global
- * iteration range per round; worker j executes the indexes of that
- * range congruent to j modulo the shard count, then waits at the
- * barrier. Between rounds the coordinator sums the virtual cost of
- * everything executed so far and stops once the budget or iteration
- * cap is definitely inside the executed prefix.
+ * The one shard worker loop body, run on a shard thread or inside a
+ * forked worker process. Backends are built lazily, so a throwing
+ * backend factory surfaces as an error reply like any other failure.
  */
-struct RoundBarrier {
-    std::mutex mu;
-    std::condition_variable workCv;
-    std::condition_variable doneCv;
-    uint64_t round = 0;
-    size_t begin = 0;
-    size_t end = 0;
-    int workersIdle = 0;
-    int workersDead = 0; ///< workers lost to an exception
-    bool stop = false;
-    /** Per-worker idle flag for the current round — lets the
-     *  coordinator name *which* worker is stalled, not just how many. */
-    std::vector<uint8_t> idle;
+class ShardWorker {
+  public:
+    ShardWorker(const ParallelCampaignConfig& config, int shard)
+        : config_(config), shard_(shard), heartbeat_{shard, 0, 0, 0, 0}
+    {
+    }
+
+    /** Run this shard's strided indexes of [begin, end). */
+    RoundReply
+    runRound(size_t begin, size_t end)
+    {
+        RoundReply reply;
+        const size_t stride = static_cast<size_t>(config_.shards);
+        const size_t first =
+            begin + (static_cast<size_t>(shard_) + stride - begin % stride) %
+                        stride;
+        try {
+            if (backends_ == nullptr)
+                backends_ =
+                    std::make_unique<ShardBackends>(config_.backendFactory);
+            for (size_t index = first; index < end; index += stride) {
+                reply.records.push_back(runOneIteration(
+                    config_, index, backends_->list, backends_->collector));
+                ++heartbeat_.iters;
+                heartbeat_.bugs += reply.records.back().bugs.size();
+                heartbeat_.hits += reply.records.back().hits.size();
+            }
+        } catch (const std::exception& error) {
+            return errorReply(error.what());
+        } catch (...) {
+            return errorReply("unknown exception");
+        }
+        reply.kind = RoundReply::Kind::kOk;
+        if (obs::metricsEnabled() || config_.progress != nullptr)
+            reply.heartbeat = heartbeat_;
+        ++heartbeat_.round;
+        return reply;
+    }
+
+  private:
+    static RoundReply
+    errorReply(std::string what)
+    {
+        RoundReply reply;
+        reply.kind = RoundReply::Kind::kError;
+        reply.error = std::move(what);
+        return reply;
+    }
+
+    const ParallelCampaignConfig& config_;
+    const int shard_;
+    std::unique_ptr<ShardBackends> backends_;
+    obs::Heartbeat heartbeat_;
 };
 
-class ThreadRuntime final : public WorkerRuntime {
+/** How the coordinator reaches its shard workers. */
+class ShardTransport {
   public:
-    const char* name() const override { return "thread"; }
-
-    std::vector<ShardResult>
-    runShards(const ParallelCampaignConfig& config) override
-    {
-        const int shard_count = config.shards;
-        std::vector<ShardResult> results(
-            static_cast<size_t>(shard_count));
-        std::vector<std::exception_ptr> errors(
-            static_cast<size_t>(shard_count));
-        RoundBarrier barrier;
-        barrier.idle.assign(static_cast<size_t>(shard_count), 1);
-        obs::gaugeSet("fabric.workers", shard_count);
-        obs::ProgressAggregator* const progress = config.progress.get();
-        /** Stall flags raised by the coordinator; appended to the
-         *  shard results only after the workers joined. */
-        std::vector<WorkerFault> stallFaults;
-
-        auto worker = [&](int shard) {
-            ShardResult& mine = results[static_cast<size_t>(shard)];
-            mine.shard = shard;
-            try {
-                // The collector must outlive backend construction so
-                // any hits a backend constructor emits are captured
-                // (and dropped) instead of leaking into the global
-                // hit bits.
-                coverage::CoverageCollector collector;
-                auto owned = config.backendFactory();
-                std::vector<backends::Backend*> backend_list;
-                backend_list.reserve(owned.size());
-                for (auto& backend : owned)
-                    backend_list.push_back(backend.get());
-                collector.take(); // drop backend-construction hits
-                uint64_t seen_round = 0;
-                uint64_t hb_iters = 0, hb_bugs = 0, hb_hits = 0;
-                while (true) {
-                    size_t begin, end;
-                    {
-                        std::unique_lock<std::mutex> lock(barrier.mu);
-                        barrier.workCv.wait(lock, [&] {
-                            return barrier.stop ||
-                                   barrier.round != seen_round;
-                        });
-                        if (barrier.stop) {
-                            // Count ourselves idle: stop may have been
-                            // set by a sibling's exception while the
-                            // coordinator is still waiting out this
-                            // round.
-                            ++barrier.workersIdle;
-                            barrier.idle[static_cast<size_t>(shard)] = 1;
-                            lock.unlock();
-                            barrier.doneCv.notify_one();
-                            return;
-                        }
-                        seen_round = barrier.round;
-                        begin = barrier.begin;
-                        end = barrier.end;
-                    }
-                    for (size_t index =
-                             stridedStart(begin, shard, shard_count);
-                         index < end;
-                         index += static_cast<size_t>(shard_count)) {
-                        mine.records.push_back(runOneIteration(
-                            config, index, backend_list, collector));
-                        const auto& record = mine.records.back();
-                        ++hb_iters;
-                        hb_bugs += record.bugs.size();
-                        hb_hits += record.hits.size();
-                    }
-                    if (progress != nullptr) {
-                        // Heartbeat outside the barrier lock: the
-                        // aggregator has its own mutex, and ordering
-                        // barrier.mu before aggregator.mu only on the
-                        // coordinator side keeps the locks acyclic.
-                        progress->onHeartbeat(obs::Heartbeat{
-                            shard, seen_round, hb_iters, hb_bugs,
-                            hb_hits});
-                        obs::counterAdd("fabric.heartbeats");
-                    }
-                    {
-                        std::lock_guard<std::mutex> lock(barrier.mu);
-                        ++barrier.workersIdle;
-                        barrier.idle[static_cast<size_t>(shard)] = 1;
-                    }
-                    barrier.doneCv.notify_one();
-                }
-            } catch (...) {
-                errors[static_cast<size_t>(shard)] =
-                    std::current_exception();
-                {
-                    std::lock_guard<std::mutex> lock(barrier.mu);
-                    ++barrier.workersDead;
-                    // Dead, not stalled: don't let the stall scan
-                    // flag a worker that already aborted.
-                    barrier.idle[static_cast<size_t>(shard)] = 1;
-                    barrier.stop = true; // abort remaining rounds
-                }
-                barrier.doneCv.notify_one();
-            }
-        };
-
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<size_t>(shard_count));
-        for (int shard = 0; shard < shard_count; ++shard)
-            threads.emplace_back(worker, shard);
-
-        // Coordinator: dispatch rounds until the executed prefix
-        // provably contains the campaign's end.
-        {
-            std::vector<size_t> consumed(
-                static_cast<size_t>(shard_count), 0);
-            VirtualMs total_cost = 0;
-            size_t executed = 0;
-            const size_t block = config.blockIterations *
-                                 static_cast<size_t>(shard_count);
-            while (executed < config.campaign.maxIterations &&
-                   total_cost < config.campaign.virtualBudget) {
-                const size_t end =
-                    std::min(executed + block,
-                             config.campaign.maxIterations);
-                {
-                    std::unique_lock<std::mutex> lock(barrier.mu);
-                    if (barrier.stop)
-                        break;
-                    barrier.begin = executed;
-                    barrier.end = end;
-                    barrier.workersIdle = 0;
-                    std::fill(barrier.idle.begin(), barrier.idle.end(),
-                              static_cast<uint8_t>(0));
-                    ++barrier.round;
-                }
-                barrier.workCv.notify_all();
-                {
-                    std::unique_lock<std::mutex> lock(barrier.mu);
-                    const auto allIdle = [&] {
-                        return barrier.workersIdle >=
-                               shard_count - barrier.workersDead;
-                    };
-                    if (progress != nullptr) {
-                        // Timed waits double as a stall scan: a worker
-                        // silent past the threshold is flagged stalled
-                        // (it may still finish — unlike a dead one).
-                        std::vector<uint8_t> flagged(
-                            static_cast<size_t>(shard_count), 0);
-                        while (!barrier.doneCv.wait_for(
-                            lock,
-                            std::chrono::milliseconds(
-                                progress->stallAfterMs()),
-                            allIdle)) {
-                            for (int shard = 0; shard < shard_count;
-                                 ++shard) {
-                                const auto s =
-                                    static_cast<size_t>(shard);
-                                if (barrier.idle[s] || flagged[s])
-                                    continue;
-                                flagged[s] = 1;
-                                progress->onStalled(shard);
-                                obs::counterAdd("fabric.worker_stalls");
-                                stallFaults.push_back(WorkerFault{
-                                    shard, executed, end, "stall", "",
-                                    0});
-                            }
-                        }
-                    } else {
-                        barrier.doneCv.wait(lock, allIdle);
-                    }
-                    if (barrier.stop)
-                        break;
-                }
-                for (int shard = 0; shard < shard_count; ++shard) {
-                    auto& records =
-                        results[static_cast<size_t>(shard)].records;
-                    auto& cursor = consumed[static_cast<size_t>(shard)];
-                    for (; cursor < records.size(); ++cursor)
-                        total_cost += std::max<VirtualMs>(
-                            records[cursor].cost, 1);
-                }
-                executed = end;
-            }
-            {
-                std::lock_guard<std::mutex> lock(barrier.mu);
-                barrier.stop = true;
-            }
-            barrier.workCv.notify_all();
-        }
-        for (auto& thread : threads)
-            thread.join();
-        for (auto& error : errors) {
-            if (error)
-                std::rethrow_exception(error);
-        }
-        for (auto& fault : stallFaults)
-            results[static_cast<size_t>(fault.shard)].faults.push_back(
-                std::move(fault));
-        return results;
-    }
+    ShardTransport() = default;
+    ShardTransport(const ShardTransport&) = delete;
+    ShardTransport& operator=(const ShardTransport&) = delete;
+    virtual ~ShardTransport() = default;
+    /** Hand @p shard the global iteration range [begin, end). */
+    virtual void post(int shard, size_t begin, size_t end) = 0;
+    /** True once @p shard's reply is ready, false after @p timeout_ms. */
+    virtual bool ready(int shard, int timeout_ms) = 0;
+    /** Block for @p shard's reply to the posted round. */
+    virtual RoundReply take(int shard) = 0;
+    /** Replace @p shard's worker with a freshly built one. */
+    virtual void rebuild(int shard) = 0;
 };
 
 // ---------------------------------------------------------------------------
-// ProcessRuntime
+// Thread transport
+// ---------------------------------------------------------------------------
+
+/** One persistent std::thread per shard, each behind a mailbox. */
+class ThreadShards final : public ShardTransport {
+  public:
+    explicit ThreadShards(const ParallelCampaignConfig& config)
+        : boxes_(static_cast<size_t>(config.shards))
+    {
+        threads_.reserve(boxes_.size());
+        try {
+            for (int shard = 0; shard < config.shards; ++shard)
+                threads_.emplace_back(
+                    [this, &config, shard] { workerMain(config, shard); });
+        } catch (...) {
+            stopAll();
+            throw;
+        }
+    }
+
+    ~ThreadShards() override { stopAll(); }
+
+    void
+    post(int shard, size_t begin, size_t end) override
+    {
+        Mailbox& box = boxes_[static_cast<size_t>(shard)];
+        std::lock_guard<std::mutex> lock(box.mu);
+        box.begin = begin;
+        box.end = end;
+        box.posted = true;
+        box.cv.notify_all();
+    }
+
+    bool
+    ready(int shard, int timeout_ms) override
+    {
+        Mailbox& box = boxes_[static_cast<size_t>(shard)];
+        std::unique_lock<std::mutex> lock(box.mu);
+        return box.cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                               [&] { return box.reply.has_value(); });
+    }
+
+    RoundReply
+    take(int shard) override
+    {
+        Mailbox& box = boxes_[static_cast<size_t>(shard)];
+        std::unique_lock<std::mutex> lock(box.mu);
+        box.cv.wait(lock, [&] { return box.reply.has_value(); });
+        RoundReply reply = std::move(*box.reply);
+        box.reply.reset();
+        return reply;
+    }
+
+    void
+    rebuild(int shard) override
+    {
+        Mailbox& box = boxes_[static_cast<size_t>(shard)];
+        std::lock_guard<std::mutex> lock(box.mu);
+        box.rebuild = true;
+    }
+
+  private:
+    /** Stop every worker after its current round and join it. */
+    void
+    stopAll()
+    {
+        for (auto& box : boxes_) {
+            std::lock_guard<std::mutex> lock(box.mu);
+            box.stop = true;
+            box.cv.notify_all();
+        }
+        for (auto& thread : threads_)
+            thread.join();
+    }
+
+    struct Mailbox {
+        std::mutex mu;
+        std::condition_variable cv;
+        bool posted = false;  ///< a round is waiting for the worker
+        bool rebuild = false; ///< drop the worker before the next round
+        bool stop = false;
+        size_t begin = 0;
+        size_t end = 0;
+        std::optional<RoundReply> reply;
+    };
+
+    void
+    workerMain(const ParallelCampaignConfig& config, int shard)
+    {
+        Mailbox& box = boxes_[static_cast<size_t>(shard)];
+        std::optional<ShardWorker> worker;
+        while (true) {
+            size_t begin, end;
+            bool rebuild;
+            {
+                std::unique_lock<std::mutex> lock(box.mu);
+                box.cv.wait(lock, [&] { return box.stop || box.posted; });
+                if (box.stop)
+                    return;
+                rebuild = box.rebuild;
+                box.posted = box.rebuild = false;
+                begin = box.begin;
+                end = box.end;
+            }
+            if (rebuild || !worker)
+                worker.emplace(config, shard);
+            RoundReply reply = worker->runRound(begin, end);
+            std::lock_guard<std::mutex> lock(box.mu);
+            box.reply = std::move(reply);
+            box.cv.notify_all();
+        }
+    }
+
+    std::vector<Mailbox> boxes_;
+    std::vector<std::thread> threads_;
+};
+
+// ---------------------------------------------------------------------------
+// Process transport
 // ---------------------------------------------------------------------------
 
 /** write(2) the whole buffer; false on any error (e.g. EPIPE). */
 bool
-writeAll(int fd, const char* data, size_t size)
+writeAll(int fd, const std::string& data)
 {
     size_t done = 0;
-    while (done < size) {
-        const ssize_t n = ::write(fd, data + done, size - done);
+    while (done < data.size()) {
+        const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -329,12 +308,6 @@ writeAll(int fd, const char* data, size_t size)
         done += static_cast<size_t>(n);
     }
     return true;
-}
-
-bool
-writeAll(int fd, const std::string& data)
-{
-    return writeAll(fd, data.data(), data.size());
 }
 
 /** Read one '\n'-terminated line (newline stripped); false on EOF. */
@@ -378,14 +351,21 @@ readExact(int fd, std::string& out, size_t size)
     return true;
 }
 
+/** "<kind> <nbytes>\n<payload>". */
+std::string
+frame(const char* kind, const std::string& payload)
+{
+    return std::string(kind) + " " + std::to_string(payload.size()) + "\n" +
+           payload;
+}
+
 /**
- * Worker-process main loop: execute "round <begin> <end>" commands
- * from the coordinator, streaming back one framed wire block per
- * round ("ok <nbytes>\n<block>"), until "stop" or coordinator death.
- * An exception inside the fuzzing stack is reported as an
- * "error <nbytes>\n<what>" frame — a *protocol-level* outcome, unlike
- * a crash, which the coordinator sees as EOF and answers with a
- * respawn.
+ * Worker-process main loop: answer "round <begin> <end>" commands with
+ * the shard worker's reply — an optional telemetry frame (heartbeat
+ * plus this round's metrics delta), then an `ok` frame holding the
+ * encoded record block or an `error` frame holding the message — until
+ * "stop" or coordinator death. A crash needs no frame: the coordinator
+ * reads EOF.
  */
 [[noreturn]] void
 workerChildLoop(const ParallelCampaignConfig& config, int shard,
@@ -397,14 +377,7 @@ workerChildLoop(const ParallelCampaignConfig& config, int shard,
     obs::traceOnFork();
     obs::metricsReset();
 
-    const int shard_count = config.shards;
-    std::unique_ptr<coverage::CoverageCollector> collector;
-    std::vector<std::unique_ptr<backends::Backend>> owned;
-    std::vector<backends::Backend*> backend_list;
-    bool initialized = false;
-    uint64_t rounds = 0;
-    uint64_t cum_iters = 0, cum_bugs = 0, cum_hits = 0;
-
+    ShardWorker worker(config, shard);
     std::string command;
     while (readLineFd(cmd_fd, command)) {
         if (command == "stop")
@@ -413,97 +386,116 @@ workerChildLoop(const ParallelCampaignConfig& config, int shard,
         if (std::sscanf(command.c_str(), "round %zu %zu", &begin,
                         &end) != 2)
             ::_exit(3); // protocol botch: not recoverable
-        std::string frame;
-        try {
-            if (!initialized) {
-                // Lazily, so construction errors flow through the
-                // error frame instead of killing the child silently.
-                collector =
-                    std::make_unique<coverage::CoverageCollector>();
-                owned = config.backendFactory();
-                backend_list.reserve(owned.size());
-                for (auto& backend : owned)
-                    backend_list.push_back(backend.get());
-                collector->take(); // drop backend-construction hits
-                initialized = true;
-            }
-            std::vector<ShardResult::IterationRecord> records;
-            for (size_t index = stridedStart(begin, shard, shard_count);
-                 index < end;
-                 index += static_cast<size_t>(shard_count)) {
-                records.push_back(runOneIteration(
-                    config, index, backend_list, *collector));
-                ++cum_iters;
-                cum_bugs += records.back().bugs.size();
-                cum_hits += records.back().hits.size();
-            }
-            if (obs::metricsEnabled() || config.progress != nullptr) {
-                // Heartbeat + this round's metrics delta ride ahead of
-                // the result frame. Ignorable by contract: a
-                // coordinator that skips them loses observability,
-                // never results.
-                wire::TelemetryFrame telemetry;
-                telemetry.shard = shard;
-                telemetry.round = rounds;
-                telemetry.iters = cum_iters;
-                telemetry.bugs = cum_bugs;
-                telemetry.hits = cum_hits;
-                telemetry.metrics = obs::metricsDrain();
-                const std::string blob =
-                    wire::encodeTelemetry(telemetry);
-                frame = "telemetry " + std::to_string(blob.size()) +
-                        "\n" + blob;
-            }
-            ++rounds;
-            const std::string payload = wire::encodeRecords(records);
-            frame += "ok " + std::to_string(payload.size()) + "\n" +
-                     payload;
-        } catch (const std::exception& error) {
-            const std::string what = error.what();
-            frame = "error " + std::to_string(what.size()) + "\n" +
-                    what;
+        const RoundReply reply = worker.runRound(begin, end);
+        std::string out;
+        if (reply.heartbeat) {
+            // Ignorable by contract: a coordinator that skips it loses
+            // observability, never results.
+            const auto& beat = *reply.heartbeat;
+            out = frame("telemetry",
+                        wire::encodeTelemetry(wire::TelemetryFrame{
+                            shard, beat.round, beat.iters, beat.bugs,
+                            beat.hits, obs::metricsDrain()}));
         }
+        out += reply.kind == RoundReply::Kind::kOk
+                   ? frame("ok", wire::encodeRecords(reply.records))
+                   : frame("error", reply.error);
         obs::traceFlush(); // trace spans land before a possible crash
-        if (!writeAll(res_fd, frame))
+        if (!writeAll(res_fd, out))
             ::_exit(2); // coordinator went away
     }
     ::_exit(0); // command pipe EOF: coordinator went away
 }
 
-class ProcessRuntime final : public WorkerRuntime {
+/** One forked worker process per shard, two pipes each. */
+class ProcessShards final : public ShardTransport {
   public:
-    const char* name() const override { return "process"; }
-
-    std::vector<ShardResult>
-    runShards(const ParallelCampaignConfig& config) override
+    explicit ProcessShards(const ParallelCampaignConfig& config)
+        : config_(config), procs_(static_cast<size_t>(config.shards))
     {
-        const int shard_count = config.shards;
-        std::vector<ShardResult> results(
-            static_cast<size_t>(shard_count));
-        for (int shard = 0; shard < shard_count; ++shard)
-            results[static_cast<size_t>(shard)].shard = shard;
-        obs::gaugeSet("fabric.workers", shard_count);
-
         // A worker that died mid-write must surface as an EPIPE write
         // error (and a respawn), not kill the coordinator.
         struct sigaction ignore_pipe = {};
-        struct sigaction old_pipe = {};
         ignore_pipe.sa_handler = SIG_IGN;
-        ::sigaction(SIGPIPE, &ignore_pipe, &old_pipe);
-
-        std::vector<Proc> procs(static_cast<size_t>(shard_count));
+        ::sigaction(SIGPIPE, &ignore_pipe, &oldPipe_);
         try {
-            for (int shard = 0; shard < shard_count; ++shard)
-                spawnWorker(procs, shard, config);
-            runRounds(procs, config, results);
+            for (int shard = 0; shard < config.shards; ++shard)
+                spawn(shard);
         } catch (...) {
-            stopAll(procs);
-            ::sigaction(SIGPIPE, &old_pipe, nullptr);
+            stopAll();
             throw;
         }
-        stopAll(procs);
-        ::sigaction(SIGPIPE, &old_pipe, nullptr);
-        return results;
+    }
+
+    ~ProcessShards() override { stopAll(); }
+
+    void
+    post(int shard, size_t begin, size_t end) override
+    {
+        // A worker that died between rounds fails this write; its
+        // result pipe then reads EOF, which take() reports as a crash.
+        writeAll(procs_[static_cast<size_t>(shard)].cmd,
+                 "round " + std::to_string(begin) + " " +
+                     std::to_string(end) + "\n");
+    }
+
+    bool
+    ready(int shard, int timeout_ms) override
+    {
+        struct pollfd pfd = {};
+        pfd.fd = procs_[static_cast<size_t>(shard)].res;
+        pfd.events = POLLIN;
+        int n;
+        do {
+            n = ::poll(&pfd, 1, timeout_ms);
+        } while (n < 0 && errno == EINTR);
+        return n != 0; // data, EOF or an error: take() resolves each
+    }
+
+    RoundReply
+    take(int shard) override
+    {
+        const int fd = procs_[static_cast<size_t>(shard)].res;
+        RoundReply reply; // kCrash unless a whole ok/error frame arrives
+        std::string header, payload;
+        while (readLineFd(fd, header)) {
+            char kind[16] = {};
+            unsigned long long size = 0;
+            if (std::sscanf(header.c_str(), "%15s %llu", kind, &size) != 2)
+                return reply; // garbled header: treat as a crash
+            const std::string tag = kind;
+            if ((tag != "telemetry" && tag != "ok" && tag != "error") ||
+                !readExact(fd, payload, static_cast<size_t>(size)))
+                return reply;
+            if (tag == "telemetry") {
+                // Best-effort: a frame that fails the lenient decode
+                // is dropped.
+                if (const auto beat = wire::decodeTelemetry(payload)) {
+                    reply.heartbeat = obs::Heartbeat{
+                        beat->shard, beat->round, beat->iters, beat->bugs,
+                        beat->hits};
+                    if (obs::metricsEnabled())
+                        obs::metricsMergeExternal(beat->metrics);
+                }
+                continue;
+            }
+            if (tag == "ok") {
+                reply.kind = RoundReply::Kind::kOk;
+                reply.records = wire::decodeRecords(payload);
+            } else {
+                reply.kind = RoundReply::Kind::kError;
+                reply.error = std::move(payload);
+            }
+            return reply;
+        }
+        return reply; // EOF: the worker died
+    }
+
+    void
+    rebuild(int shard) override
+    {
+        reap(procs_[static_cast<size_t>(shard)]);
+        spawn(shard);
     }
 
   private:
@@ -513,14 +505,13 @@ class ProcessRuntime final : public WorkerRuntime {
         int res = -1; ///< coordinator-side read end (results up)
     };
 
-    static void
-    spawnWorker(std::vector<Proc>& procs, int shard,
-                const ParallelCampaignConfig& config)
+    void
+    spawn(int shard)
     {
         int down[2]; // coordinator -> worker
         int up[2];   // worker -> coordinator
         if (::pipe(down) != 0 || ::pipe(up) != 0)
-            fatal("ProcessRuntime: pipe() failed: " +
+            fatal("process shards: pipe() failed: " +
                   std::string(std::strerror(errno)));
         // Flush buffered trace events so the child inherits an empty
         // buffer (workerChildLoop drops any stragglers via
@@ -528,7 +519,7 @@ class ProcessRuntime final : public WorkerRuntime {
         obs::traceFlush();
         const pid_t pid = ::fork();
         if (pid < 0)
-            fatal("ProcessRuntime: fork() failed: " +
+            fatal("process shards: fork() failed: " +
                   std::string(std::strerror(errno)));
         if (pid == 0) {
             // Worker: drop the coordinator-side ends — including the
@@ -537,278 +528,144 @@ class ProcessRuntime final : public WorkerRuntime {
             // crash detection would hang.
             ::close(down[1]);
             ::close(up[0]);
-            for (const auto& proc : procs) {
+            for (const auto& proc : procs_) {
                 if (proc.cmd >= 0)
                     ::close(proc.cmd);
                 if (proc.res >= 0)
                     ::close(proc.res);
             }
-            workerChildLoop(config, shard, down[0], up[1]);
+            workerChildLoop(config_, shard, down[0], up[1]);
         }
         ::close(down[0]);
         ::close(up[1]);
-        procs[static_cast<size_t>(shard)] = Proc{pid, down[1], up[0]};
+        procs_[static_cast<size_t>(shard)] = Proc{pid, down[1], up[0]};
     }
 
     static void
-    closeProc(Proc& proc)
+    reap(Proc& proc)
     {
         if (proc.cmd >= 0)
             ::close(proc.cmd);
         if (proc.res >= 0)
             ::close(proc.res);
-        proc.cmd = proc.res = -1;
-    }
-
-    static void
-    reapWorker(Proc& proc)
-    {
-        closeProc(proc);
         if (proc.pid > 0)
             ::waitpid(proc.pid, nullptr, 0);
-        proc.pid = -1;
+        proc = Proc{};
     }
 
-    static void
-    respawnWorker(std::vector<Proc>& procs, int shard,
-                  const ParallelCampaignConfig& config)
+    void
+    stopAll()
     {
-        reapWorker(procs[static_cast<size_t>(shard)]);
-        spawnWorker(procs, shard, config);
-    }
-
-    static bool
-    sendRound(const Proc& proc, size_t begin, size_t end)
-    {
-        return writeAll(proc.cmd, "round " + std::to_string(begin) +
-                                      " " + std::to_string(end) + "\n");
-    }
-
-    /** Fold one worker telemetry blob into coordinator-side state.
-     *  Best-effort: a frame that fails the lenient decode is dropped. */
-    static void
-    handleTelemetry(const ParallelCampaignConfig& config,
-                    const std::string& blob)
-    {
-        const auto frame = wire::decodeTelemetry(blob);
-        if (!frame)
-            return;
-        if (config.progress != nullptr) {
-            config.progress->onHeartbeat(obs::Heartbeat{
-                frame->shard, frame->round, frame->iters, frame->bugs,
-                frame->hits});
-        }
-        if (obs::metricsEnabled()) {
-            obs::metricsMergeExternal(frame->metrics);
-            obs::counterAdd("fabric.heartbeats");
-        }
-    }
-
-    /**
-     * Read one result frame; false when the worker died. Telemetry
-     * frames riding ahead of the result are consumed here — they are
-     * observability, not results, so callers only ever see ok/error.
-     */
-    static bool
-    readFrame(const Proc& proc, const ParallelCampaignConfig& config,
-              std::string& payload, bool& is_error)
-    {
-        while (true) {
-            std::string header;
-            if (!readLineFd(proc.res, header))
-                return false;
-            uint64_t size = 0;
-            if (std::sscanf(header.c_str(), "telemetry %llu",
-                            reinterpret_cast<unsigned long long*>(
-                                &size)) == 1) {
-                std::string blob;
-                if (!readExact(proc.res, blob,
-                               static_cast<size_t>(size)))
-                    return false;
-                handleTelemetry(config, blob);
-                continue;
-            }
-            if (std::sscanf(header.c_str(), "ok %llu",
-                            reinterpret_cast<unsigned long long*>(
-                                &size)) == 1) {
-                is_error = false;
-            } else if (std::sscanf(header.c_str(), "error %llu",
-                                   reinterpret_cast<unsigned long long*>(
-                                       &size)) == 1) {
-                is_error = true;
-            } else {
-                return false; // garbled header: treat as a crash
-            }
-            return readExact(proc.res, payload,
-                             static_cast<size_t>(size));
-        }
-    }
-
-    /**
-     * Block until worker @p shard's pipe is readable, flagging the
-     * worker stalled (once) after the progress aggregator's threshold.
-     * Pure observation — the wait itself is unbounded either way.
-     */
-    static void
-    awaitReadable(const Proc& proc,
-                  const ParallelCampaignConfig& config, int shard,
-                  size_t begin, size_t end,
-                  std::vector<ShardResult>& results)
-    {
-        if (config.progress == nullptr)
-            return; // plain blocking reads diagnose nothing
-        bool flagged = false;
-        struct pollfd pfd = {};
-        pfd.fd = proc.res;
-        pfd.events = POLLIN;
-        while (true) {
-            const int timeout =
-                flagged ? -1 : config.progress->stallAfterMs();
-            const int ready = ::poll(&pfd, 1, timeout);
-            if (ready < 0) {
-                if (errno == EINTR)
-                    continue;
-                return; // let the read path report the failure
-            }
-            if (ready > 0)
-                return; // data or EOF: either way the read resolves it
-            flagged = true;
-            config.progress->onStalled(shard);
-            obs::counterAdd("fabric.worker_stalls");
-            results[static_cast<size_t>(shard)].faults.push_back(
-                WorkerFault{shard, begin, end, "stall", "", 0});
-        }
-    }
-
-    static void
-    runRounds(std::vector<Proc>& procs,
-              const ParallelCampaignConfig& config,
-              std::vector<ShardResult>& results)
-    {
-        const int shard_count = config.shards;
-        const size_t block =
-            config.blockIterations * static_cast<size_t>(shard_count);
-        VirtualMs total_cost = 0;
-        size_t executed = 0;
-        while (executed < config.campaign.maxIterations &&
-               total_cost < config.campaign.virtualBudget) {
-            const size_t end = std::min(
-                executed + block, config.campaign.maxIterations);
-            for (int shard = 0; shard < shard_count; ++shard) {
-                if (!sendRound(procs[static_cast<size_t>(shard)],
-                               executed, end)) {
-                    noteCrash(config, shard, executed, end, 0, results);
-                    respawnWorker(procs, shard, config);
-                    if (!sendRound(procs[static_cast<size_t>(shard)],
-                                   executed, end))
-                        fatal("ProcessRuntime: worker " +
-                              std::to_string(shard) +
-                              " died immediately on respawn");
-                }
-            }
-            for (int shard = 0; shard < shard_count; ++shard) {
-                collectRound(procs, shard, config, executed, end,
-                             results, total_cost);
-            }
-            executed = end;
-        }
-    }
-
-    /** Record a crash fault (telemetry) for @p shard. */
-    static void
-    noteCrash(const ParallelCampaignConfig& config, int shard,
-              size_t begin, size_t end, int attempt,
-              std::vector<ShardResult>& results)
-    {
-        results[static_cast<size_t>(shard)].faults.push_back(
-            WorkerFault{shard, begin, end, "crash", "", attempt});
-        obs::counterAdd("fabric.respawns");
-        if (config.progress != nullptr)
-            config.progress->onCrashed(shard);
-    }
-
-    /**
-     * Read worker @p shard's frame for round [begin, end), respawning
-     * and deterministically re-running the block on a crash *or* a
-     * reported error (bounded by kMaxRespawnsPerRound). Both outcomes
-     * land in the shard's fault log; only exhausted retries — a
-     * deterministically failing block — abort the campaign.
-     */
-    static void
-    collectRound(std::vector<Proc>& procs, int shard,
-                 const ParallelCampaignConfig& config, size_t begin,
-                 size_t end, std::vector<ShardResult>& results,
-                 VirtualMs& total_cost)
-    {
-        int attempts = 0;
-        while (true) {
-            std::string payload;
-            bool is_error = false;
-            awaitReadable(procs[static_cast<size_t>(shard)], config,
-                          shard, begin, end, results);
-            if (readFrame(procs[static_cast<size_t>(shard)], config,
-                          payload, is_error)) {
-                if (is_error) {
-                    results[static_cast<size_t>(shard)]
-                        .faults.push_back(WorkerFault{
-                            shard, begin, end, "error", payload,
-                            attempts});
-                    obs::counterAdd("fabric.worker_errors");
-                    if (config.progress != nullptr)
-                        config.progress->onErrored(shard);
-                    if (++attempts > kMaxRespawnsPerRound)
-                        throw std::runtime_error(
-                            "parallel campaign worker " +
-                            std::to_string(shard) + ": " + payload);
-                    // The worker survives an error frame, but its
-                    // lazily-built state is suspect; a fresh process
-                    // re-runs the identical self-seeded block.
-                    respawnWorker(procs, shard, config);
-                    if (!sendRound(procs[static_cast<size_t>(shard)],
-                                   begin, end))
-                        continue; // died; the next readFrame EOFs
-                    continue;
-                }
-                auto records = wire::decodeRecords(payload);
-                auto& mine =
-                    results[static_cast<size_t>(shard)].records;
-                for (auto& record : records) {
-                    total_cost +=
-                        std::max<VirtualMs>(record.cost, 1);
-                    mine.push_back(std::move(record));
-                }
-                return;
-            }
-            // The worker crashed (SIGKILL, abort, a crashing test
-            // case). Iterations are self-seeded, so a fresh worker
-            // re-runs the identical block from the seed stream.
-            noteCrash(config, shard, begin, end, attempts, results);
-            if (++attempts > kMaxRespawnsPerRound)
-                throw std::runtime_error(
-                    "parallel campaign worker " +
-                    std::to_string(shard) + " crashed " +
-                    std::to_string(attempts) +
-                    " times on iterations [" + std::to_string(begin) +
-                    ", " + std::to_string(end) +
-                    "); giving up (deterministically crashing case?)");
-            respawnWorker(procs, shard, config);
-            if (!sendRound(procs[static_cast<size_t>(shard)], begin,
-                           end))
-                continue; // died again; the next readFrame EOFs
-        }
-    }
-
-    static void
-    stopAll(std::vector<Proc>& procs)
-    {
-        for (auto& proc : procs) {
+        for (auto& proc : procs_) {
             if (proc.cmd >= 0)
                 writeAll(proc.cmd, "stop\n"); // best-effort
         }
-        for (auto& proc : procs)
-            reapWorker(proc);
+        for (auto& proc : procs_)
+            reap(proc);
+        ::sigaction(SIGPIPE, &oldPipe_, nullptr);
     }
+
+    const ParallelCampaignConfig& config_;
+    std::vector<Proc> procs_;
+    struct sigaction oldPipe_ = {};
 };
+
+// ---------------------------------------------------------------------------
+// Coordinator
+// ---------------------------------------------------------------------------
+
+/**
+ * Await @p shard's reply to round [begin, end), applying the fault
+ * policy: an error reply or a dead worker is recorded as a WorkerFault,
+ * the worker rebuilt and the self-seeded round re-posted, until
+ * kMaxRespawnsPerRound retries are spent. Returns the round's records.
+ */
+std::vector<ShardResult::IterationRecord>
+awaitRound(const ParallelCampaignConfig& config, ShardTransport& transport,
+           int shard, size_t begin, size_t end, ShardResult& result)
+{
+    obs::ProgressAggregator* const progress = config.progress.get();
+    for (int attempt = 0;; ++attempt) {
+        // Pure observation: a worker silent past the threshold is
+        // flagged stalled (it may still finish — unlike a dead one),
+        // and the wait goes on unbounded either way.
+        if (progress != nullptr &&
+            !transport.ready(shard, progress->stallAfterMs())) {
+            progress->onStalled(shard);
+            obs::counterAdd("fabric.worker_stalls");
+            result.faults.push_back(
+                WorkerFault{shard, begin, end, "stall", "", attempt});
+        }
+        RoundReply reply = transport.take(shard);
+        if (reply.heartbeat) {
+            if (progress != nullptr)
+                progress->onHeartbeat(*reply.heartbeat);
+            obs::counterAdd("fabric.heartbeats");
+        }
+        if (reply.kind == RoundReply::Kind::kOk)
+            return std::move(reply.records);
+
+        const bool crashed = reply.kind == RoundReply::Kind::kCrash;
+        result.faults.push_back(WorkerFault{shard, begin, end,
+                                            crashed ? "crash" : "error",
+                                            reply.error, attempt});
+        obs::counterAdd(crashed ? "fabric.respawns" : "fabric.worker_errors");
+        if (progress != nullptr) {
+            if (crashed)
+                progress->onCrashed(shard);
+            else
+                progress->onErrored(shard);
+        }
+        if (attempt == kMaxRespawnsPerRound) {
+            throw std::runtime_error(
+                "parallel campaign worker " + std::to_string(shard) +
+                (crashed ? " crashed " + std::to_string(attempt + 1) +
+                               " times on iterations [" +
+                               std::to_string(begin) + ", " +
+                               std::to_string(end) +
+                               "); giving up (deterministically crashing "
+                               "case?)"
+                         : ": " + reply.error));
+        }
+        transport.rebuild(shard);
+        transport.post(shard, begin, end);
+    }
+}
+
+/**
+ * The round loop: dispatch rounds of blockIterations × shards indexes
+ * until the executed prefix provably contains the campaign's end.
+ */
+std::vector<ShardResult>
+coordinate(const ParallelCampaignConfig& config, ShardTransport& transport)
+{
+    const int shard_count = config.shards;
+    std::vector<ShardResult> results(static_cast<size_t>(shard_count));
+    for (int shard = 0; shard < shard_count; ++shard)
+        results[static_cast<size_t>(shard)].shard = shard;
+    obs::gaugeSet("fabric.workers", shard_count);
+
+    const size_t block =
+        config.blockIterations * static_cast<size_t>(shard_count);
+    VirtualMs total_cost = 0;
+    size_t executed = 0;
+    while (executed < config.campaign.maxIterations &&
+           total_cost < config.campaign.virtualBudget) {
+        const size_t end =
+            std::min(executed + block, config.campaign.maxIterations);
+        for (int shard = 0; shard < shard_count; ++shard)
+            transport.post(shard, executed, end);
+        for (auto& result : results) {
+            for (auto& record : awaitRound(config, transport, result.shard,
+                                           executed, end, result)) {
+                total_cost += std::max<VirtualMs>(record.cost, 1);
+                result.records.push_back(std::move(record));
+            }
+        }
+        executed = end;
+    }
+    return results;
+}
 
 } // namespace
 
@@ -818,23 +675,15 @@ workerModeName(WorkerMode mode)
     return mode == WorkerMode::kThread ? "thread" : "process";
 }
 
-std::unique_ptr<WorkerRuntime>
-makeThreadRuntime()
+std::vector<ShardResult>
+runShards(const ParallelCampaignConfig& config)
 {
-    return std::make_unique<ThreadRuntime>();
-}
-
-std::unique_ptr<WorkerRuntime>
-makeProcessRuntime()
-{
-    return std::make_unique<ProcessRuntime>();
-}
-
-std::unique_ptr<WorkerRuntime>
-makeWorkerRuntime(WorkerMode mode)
-{
-    return mode == WorkerMode::kThread ? makeThreadRuntime()
-                                       : makeProcessRuntime();
+    if (config.workerMode == WorkerMode::kThread) {
+        ThreadShards transport(config);
+        return coordinate(config, transport);
+    }
+    ProcessShards transport(config);
+    return coordinate(config, transport);
 }
 
 } // namespace nnsmith::fuzz

@@ -1,37 +1,41 @@
 /**
  * @file
- * Worker runtimes — how campaign shards execute.
+ * The campaign fabric's execution layer — one round coordinator and
+ * one shard worker loop, over two transports.
  *
- * A WorkerRuntime turns a ParallelCampaignConfig into one wire-format
+ * runShards turns a ParallelCampaignConfig into one wire-format
  * ShardResult per shard (fuzz/wire.h); the orchestrator
- * (fuzz/parallel_campaign.h) merges them without caring which runtime
- * produced them. Modeled on LTSmin's HRE runtime, which abstracts
- * thread- vs process-parallel workers behind one API.
+ * (fuzz/parallel_campaign.h) merges them without caring where the
+ * shards ran.
  *
- * Both runtimes drive the same round-synchronized schedule: the
- * coordinator publishes a global iteration range per round, worker j
- * executes the indexes congruent to j modulo the shard count, and
- * between rounds the coordinator sums the virtual cost executed so
- * far, stopping once the budget or iteration cap is provably inside
- * the executed prefix. Every iteration is self-seeded
- * (deriveIterationSeed), so a record depends on nothing but the
- * master seed and its own index — the property both runtimes' merge
- * identity and the process runtime's crash recovery rest on.
+ *  - **Worker loop.** A shard worker builds its ShardBackends lazily
+ *    on first use, runs the strided indexes of each posted round (the
+ *    indexes congruent to its shard modulo the shard count) and
+ *    replies with the round's records plus a cumulative heartbeat, or
+ *    with the error that stopped it.
+ *  - **Coordinator.** Posts each round's global iteration range to
+ *    every shard, awaits each reply with one stall check, sums the
+ *    virtual cost executed so far and stops once the budget or
+ *    iteration cap is provably inside the executed prefix.
+ *  - **Fault policy.** A reply that reports an error, or a worker that
+ *    died (process shards only), becomes a WorkerFault; the shard's
+ *    worker is rebuilt from scratch and the round re-posted. Every
+ *    iteration is self-seeded (deriveIterationSeed), so the re-run
+ *    yields the same records. After kMaxRespawnsPerRound failures on
+ *    one round the campaign throws std::runtime_error carrying the
+ *    worker's message, so a deterministically failing case cannot
+ *    retry forever.
  *
- *  - **ThreadRuntime**: one std::thread per shard in this process;
- *    records accumulate in memory. The historical sharded-campaign
- *    behavior, bit-for-bit.
- *  - **ProcessRuntime**: one forked worker process per shard,
- *    commands flowing down a pipe and wire-encoded record blocks
- *    flowing back. Workers are crash-isolated: a worker that dies
- *    mid-block (SIGKILL, abort, a genuinely crashing test case) is
- *    respawned with fresh backends and its round re-run
- *    deterministically from the iteration-seed stream; a worker that
- *    *reports* an error (an exception in the fuzzer stack) aborts the
- *    campaign with that error, mirroring the thread runtime. Workers
- *    that crash on the same round more than kMaxRespawnsPerRound
- *    times abort the campaign too, so a deterministically crashing
- *    iteration cannot respawn forever.
+ * Transports (ParallelCampaignConfig::workerMode):
+ *
+ *  - **thread**: one persistent std::thread per shard in this
+ *    process, fed through an in-memory mailbox; records move across
+ *    without encoding. Rebuilding a worker gives it a fresh collector
+ *    and fresh backends on the same thread.
+ *  - **process**: one forked worker process per shard, `round`/`stop`
+ *    commands down a pipe and `telemetry`/`ok`/`error` frames back up
+ *    another. A worker that dies mid-round (SIGKILL, abort, a crashing
+ *    test case) reads as EOF; rebuilding it means respawning it.
  */
 #ifndef NNSMITH_FUZZ_WORKER_RUNTIME_H
 #define NNSMITH_FUZZ_WORKER_RUNTIME_H
@@ -43,30 +47,32 @@
 
 namespace nnsmith::fuzz {
 
-/** Executes a campaign's iteration stream on a pool of workers. */
-class WorkerRuntime {
-  public:
-    virtual ~WorkerRuntime() = default;
-
-    /** "thread" / "process". */
-    virtual const char* name() const = 0;
-
-    /**
-     * Execute the campaign's rounds and return one ShardResult per
-     * shard, records in wire format. Rethrows worker errors. Does not
-     * touch global coverage hit state (workers collect into
-     * per-worker CoverageCollectors).
-     */
-    virtual std::vector<ShardResult>
-    runShards(const ParallelCampaignConfig& config) = 0;
-};
-
-/** Respawn budget per (worker, round) before the campaign aborts. */
+/** Retries per (shard, round) before the campaign aborts. */
 inline constexpr int kMaxRespawnsPerRound = 4;
 
-std::unique_ptr<WorkerRuntime> makeThreadRuntime();
-std::unique_ptr<WorkerRuntime> makeProcessRuntime();
-std::unique_ptr<WorkerRuntime> makeWorkerRuntime(WorkerMode mode);
+/**
+ * One shard's backends, built under the shard's own coverage
+ * collector: the collector first (so construction hits are captured
+ * rather than leaking into the global hit bits), then the backends,
+ * then the construction hits are dropped. The collector binds to the
+ * constructing thread, so build this on the thread that will use it.
+ */
+struct ShardBackends {
+    explicit ShardBackends(const BackendFactory& factory);
+
+    coverage::CoverageCollector collector;
+    std::vector<std::unique_ptr<backends::Backend>> owned;
+    std::vector<backends::Backend*> list;
+};
+
+/**
+ * Execute the campaign's rounds on config.shards workers of
+ * config.workerMode and return one ShardResult per shard, records in
+ * wire format. Throws once a round exhausts its retries. Does not
+ * touch global coverage hit state (workers collect into their own
+ * CoverageCollectors).
+ */
+std::vector<ShardResult> runShards(const ParallelCampaignConfig& config);
 
 } // namespace nnsmith::fuzz
 

@@ -3,19 +3,16 @@
  * Live campaign progress — per-worker heartbeats aggregated into a
  * throttled stderr line, with stalled-vs-crashed worker diagnosis.
  *
- * Both worker runtimes (fuzz/worker_runtime.h) feed one
- * ProgressAggregator on the coordinator:
- *
- *  - thread workers call onHeartbeat() directly after each round;
- *  - process workers attach wire telemetry frames to their result
- *    stream (fuzz/wire.h), which the coordinator decodes into the
- *    same heartbeats.
+ * The fabric's one round coordinator (fuzz/worker_runtime.h) feeds a
+ * ProgressAggregator with the heartbeat each shard worker attaches to
+ * its round reply — in memory from thread shards, decoded from a wire
+ * telemetry frame (fuzz/wire.h) from process shards.
  *
  * The coordinator additionally reports liveness transitions: a worker
  * that produced no heartbeat for `stallAfterMs` while a round is
  * outstanding is flagged *stalled* (it may still finish); a worker
  * whose pipe went EOF is flagged *crashed* (it will be respawned);
- * a worker that reported an error frame is flagged *errored*. The
+ * a worker that replied with an error is flagged *errored*. The
  * three are distinct states on the progress line — a hung test case
  * looks nothing like a dead worker.
  *
@@ -76,7 +73,7 @@ class ProgressAggregator {
 
     explicit ProgressAggregator(ProgressOptions options = {});
 
-    /** Called by the runtime before the first round. */
+    /** Called by the campaign before the first round. */
     void attach(int shards, const std::string& mode);
 
     void onHeartbeat(const Heartbeat& heartbeat);

@@ -16,7 +16,7 @@
  * through a single O_APPEND write(2), so the forked campaign workers
  * (fuzz/worker_runtime.h) can share one trace file with the
  * coordinator without interleaving partial lines. `traceOnFork()`
- * drops buffered-but-unflushed events in the child; the runtime calls
+ * drops buffered-but-unflushed events in the child; the fabric calls
  * `traceFlush()` before forking, so no event is lost or duplicated.
  *
  * Tracing is inert by contract: spans observe wall-clock time only and

@@ -140,8 +140,7 @@ TEST(Fabric, WireRecordsRoundTripOnMinimizingCampaign)
         fabricConfig(2, WorkerMode::kThread, 2023);
     config.campaign.maxIterations = 200;
     config.campaign.minimize = true;
-    const auto shards =
-        fuzz::makeThreadRuntime()->runShards(config);
+    const auto shards = fuzz::runShards(config);
     ASSERT_EQ(shards.size(), 2u);
     size_t bugs = 0, hits = 0;
     for (const auto& shard : shards) {
@@ -244,7 +243,7 @@ TEST(Fabric, ProcessCorpusReplayMatchesThread)
 {
     // The full stack at once — process workers, minimization, report
     // emission and regression-corpus replay — must be byte-identical
-    // to the thread runtime, including the regressions.tsv bytes.
+    // to thread workers, including the regressions.tsv bytes.
     const auto dir = std::filesystem::path(testing::TempDir()) /
                      "nnsmith-fabric-corpus";
     std::filesystem::remove_all(dir);
@@ -359,12 +358,15 @@ TEST(Fabric, DeterministicallyCrashingWorkerAbortsTheCampaign)
     EXPECT_THROW(fuzz::runParallelCampaign(config), std::runtime_error);
 }
 
-TEST(Fabric, WorkerErrorsPropagateFromProcessWorkers)
+class FabricWorkerErrors : public testing::TestWithParam<WorkerMode> {};
+
+TEST_P(FabricWorkerErrors, DeterministicErrorPropagatesWithItsMessage)
 {
     // An exception in the fuzzing stack is a reported error, not a
-    // crash: it must abort the campaign with the worker's message,
-    // exactly as the thread runtime does.
-    auto config = fabricConfig(4, WorkerMode::kProcess, 11);
+    // crash. It fails again on every retry, so once the retries are
+    // spent it must abort the campaign with the worker's message, the
+    // same in both worker modes.
+    auto config = fabricConfig(4, GetParam(), 11);
     config.fuzzerFactory = [](uint64_t seed)
         -> std::unique_ptr<fuzz::Fuzzer> {
         if (seed % 3 == 0)
@@ -383,12 +385,14 @@ TEST(Fabric, WorkerErrorsPropagateFromProcessWorkers)
     }
 }
 
+INSTANTIATE_TEST_SUITE_P(Modes, FabricWorkerErrors,
+                         testing::Values(WorkerMode::kThread,
+                                         WorkerMode::kProcess));
+
 TEST(Fabric, WorkerModeNames)
 {
     EXPECT_STREQ(fuzz::workerModeName(WorkerMode::kThread), "thread");
     EXPECT_STREQ(fuzz::workerModeName(WorkerMode::kProcess), "process");
-    EXPECT_STREQ(fuzz::makeThreadRuntime()->name(), "thread");
-    EXPECT_STREQ(fuzz::makeProcessRuntime()->name(), "process");
 }
 
 } // namespace

@@ -531,15 +531,19 @@ TEST(ObsFaults, CrashRespawnIsCountedInTheResult)
     std::filesystem::remove(marker);
 }
 
-TEST(ObsFaults, TransientWorkerErrorIsRetriedAndSurfaced)
+class ObsFaultModes : public testing::TestWithParam<WorkerMode> {};
+
+TEST_P(ObsFaultModes, TransientWorkerErrorIsRetriedAndSurfaced)
 {
-    const auto marker = std::filesystem::path(testing::TempDir()) /
-                        "nnsmith-obs-error-marker";
+    const auto marker =
+        std::filesystem::path(testing::TempDir()) /
+        (std::string("nnsmith-obs-error-marker-") +
+         fuzz::workerModeName(GetParam()));
     std::filesystem::remove(marker);
     const auto reference =
         fuzz::runParallelCampaign(obsConfig(1, WorkerMode::kThread));
 
-    auto config = obsConfig(2, WorkerMode::kProcess);
+    auto config = obsConfig(2, GetParam());
     const uint64_t error_seed =
         fuzz::deriveIterationSeed(config.masterSeed, 5);
     const auto inner = config.fuzzerFactory;
@@ -551,9 +555,11 @@ TEST(ObsFaults, TransientWorkerErrorIsRetriedAndSurfaced)
         }
         return inner(seed);
     };
-    // A transient error frame no longer aborts the campaign: the
-    // worker is respawned, the block re-runs deterministically, and
-    // the incident is surfaced as a WorkerFault.
+    // A transient error does not abort the campaign: the worker is
+    // rebuilt (a fresh process, or fresh backends and collector on the
+    // same thread), the block re-runs deterministically without the
+    // failed attempt's partial records, and the incident is surfaced
+    // as a WorkerFault.
     const auto result = fuzz::runParallelCampaign(config);
     EXPECT_TRUE(std::filesystem::exists(marker));
     EXPECT_EQ(renderCampaignResult(reference), renderCampaignResult(result));
@@ -568,6 +574,10 @@ TEST(ObsFaults, TransientWorkerErrorIsRetriedAndSurfaced)
     EXPECT_TRUE(saw_error);
     std::filesystem::remove(marker);
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, ObsFaultModes,
+                         testing::Values(WorkerMode::kThread,
+                                         WorkerMode::kProcess));
 
 // ---------------------------------------------------------------------------
 // bench_util flag parsing

@@ -443,7 +443,7 @@ tzerConfig(int shards, fuzz::WorkerMode mode, uint64_t seed)
 TEST(ParallelCampaign, TzerRunsAsOneInOrderShardInEitherRuntime)
 {
     // Tzer carries its corpus across iterations, so it runs as one
-    // shard; both runtimes must deliver its iterations in order and
+    // shard; both worker modes must deliver its iterations in order and
     // merge to the same result.
     const auto thread = fuzz::runParallelCampaign(
         tzerConfig(1, fuzz::WorkerMode::kThread, 31));
