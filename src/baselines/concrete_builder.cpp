@@ -15,12 +15,10 @@ addConcreteOp(Graph& graph, std::shared_ptr<ops::OpBase> op,
         in_types.push_back(graph.value(v).type);
     auto out_types = op->typeTransfer(in_types);
     for (auto& t : out_types) {
-        std::vector<symbolic::ExprRef> folded;
-        for (const auto& d : t.shape())
-            folded.push_back(symbolic::simplify(d));
-        t = TensorType(t.dtype(), std::move(folded));
-        NNSMITH_ASSERT(t.isConcrete(),
+        auto folded = t.foldedConcrete();
+        NNSMITH_ASSERT(folded.has_value(),
                        "concrete builder produced symbolic type");
+        t = std::move(*folded);
     }
     const int node = graph.addOp(std::move(op), inputs, out_types);
     return graph.node(node).outputs[0];

@@ -4,6 +4,7 @@
 
 #include "baselines/concrete_builder.h"
 #include "exec/interpreter.h"
+#include "gen/generator.h"
 
 namespace nnsmith::baselines {
 
@@ -151,15 +152,7 @@ GraphFuzzerLite::iterate(
         fuzz::executeGraphCase(graph, leaves, backend_list, options_.cost);
     // No constraint solving: generation is cheaper than NNSmith's.
     outcome.cost += 60 * graph.numOpNodes();
-    // Instance keys for Fig. 9-style accounting.
-    for (const auto& node : graph.nodes()) {
-        if (node.dead || node.kind != NodeKind::kOp)
-            continue;
-        std::string key = node.op->name() + "|";
-        for (int v : node.inputs)
-            key += graph.value(v).type.toString() + ",";
-        outcome.instanceKeys.push_back(std::move(key));
-    }
+    outcome.instanceKeys = gen::instanceKeys(graph);
     return outcome;
 }
 

@@ -41,6 +41,58 @@ CaseResult::anyBugSignal() const
     return false;
 }
 
+namespace {
+
+/**
+ * Append every backend's verdict on one lane to @p result: run the
+ * exported @p model on @p leaves at O3, then crash, NaN-skip, or
+ * compare against the lane's @p reference, localizing a mismatch with
+ * an O0 re-run. The caller owns the lane's trace window.
+ */
+void
+judgeLane(const onnx::OnnxModel& model, const exec::LeafValues& leaves,
+          const exec::ExecResult& reference,
+          const std::vector<Backend*>& backend_list,
+          const CompareOptions& options, CaseResult& result)
+{
+    for (Backend* backend : backend_list) {
+        BackendVerdict verdict;
+        verdict.backend = backend->name();
+        const RunResult o3 = [&] {
+            obs::PhaseSpan span("exec:", backend->name());
+            return backend->run(model, leaves, OptLevel::kO3);
+        }();
+        obs::counterAdd("oracle.comparisons");
+        if (o3.status == RunResult::Status::kCrash) {
+            verdict.verdict = Verdict::kCrash;
+            verdict.crashKind = o3.crashKind;
+            verdict.detail = o3.crashMessage;
+            obs::counterAdd("oracle.crashes");
+        } else if (!reference.numericallyValid()) {
+            // NaN/Inf anywhere in the reference: no comparison (§2.3's
+            // numeric-validity requirement).
+            verdict.verdict = Verdict::kSkippedNaN;
+            obs::counterAdd("oracle.skipped_nan");
+        } else if (!allClose(o3.outputs, reference.outputs, options)) {
+            obs::counterAdd("oracle.mismatches");
+            verdict.verdict = Verdict::kWrongResult;
+            verdict.detail =
+                firstDifference(o3.outputs, reference.outputs, options);
+            // Fault localization: recompile at O0 (paper §4). If O0
+            // disagrees with the optimized run, the optimization is
+            // wrong; otherwise suspect the conversion path.
+            const RunResult o0 =
+                backend->run(model, leaves, OptLevel::kO0);
+            verdict.localizedToOptimizer =
+                o0.status == RunResult::Status::kOk &&
+                !allClose(o0.outputs, o3.outputs, options);
+        }
+        result.verdicts.push_back(std::move(verdict));
+    }
+}
+
+} // namespace
+
 CaseResult
 runCase(const graph::Graph& graph, const exec::LeafValues& leaves,
         const std::vector<Backend*>& backend_list,
@@ -70,40 +122,7 @@ runCase(const graph::Graph& graph, const exec::LeafValues& leaves,
         return result;
     }
 
-    for (Backend* backend : backend_list) {
-        BackendVerdict verdict;
-        verdict.backend = backend->name();
-        const RunResult o3 = [&] {
-            obs::PhaseSpan span("exec:", backend->name());
-            return backend->run(model, leaves, OptLevel::kO3);
-        }();
-        obs::counterAdd("oracle.comparisons");
-        if (o3.status == RunResult::Status::kCrash) {
-            verdict.verdict = Verdict::kCrash;
-            verdict.crashKind = o3.crashKind;
-            verdict.detail = o3.crashMessage;
-            obs::counterAdd("oracle.crashes");
-        } else if (!result.referenceValid) {
-            // NaN/Inf anywhere in the reference: no comparison (§2.3's
-            // numeric-validity requirement).
-            verdict.verdict = Verdict::kSkippedNaN;
-            obs::counterAdd("oracle.skipped_nan");
-        } else if (!allClose(o3.outputs, reference.outputs, options)) {
-            obs::counterAdd("oracle.mismatches");
-            verdict.verdict = Verdict::kWrongResult;
-            verdict.detail =
-                firstDifference(o3.outputs, reference.outputs, options);
-            // Fault localization: recompile at O0 (paper §4). If O0
-            // disagrees with the optimized run, the optimization is
-            // wrong; otherwise suspect the conversion path.
-            const RunResult o0 =
-                backend->run(model, leaves, OptLevel::kO0);
-            verdict.localizedToOptimizer =
-                o0.status == RunResult::Status::kOk &&
-                !allClose(o0.outputs, o3.outputs, options);
-        }
-        result.verdicts.push_back(std::move(verdict));
-    }
+    judgeLane(model, leaves, reference, backend_list, options, result);
     result.triggeredDefects = trace_scope.trace();
     return result;
 }
@@ -158,36 +177,8 @@ runCaseBatch(const graph::Graph& graph,
         // Fresh per-lane window: backend triggers of one lane cannot
         // leak into the next, exactly like per-case TraceScopes.
         DefectRegistry::TraceScope lane_scope;
-        for (Backend* backend : backend_list) {
-            BackendVerdict verdict;
-            verdict.backend = backend->name();
-            const RunResult o3 = [&] {
-                obs::PhaseSpan span("exec:", backend->name());
-                return backend->run(model, lanes[l], OptLevel::kO3);
-            }();
-            obs::counterAdd("oracle.comparisons");
-            if (o3.status == RunResult::Status::kCrash) {
-                verdict.verdict = Verdict::kCrash;
-                verdict.crashKind = o3.crashKind;
-                verdict.detail = o3.crashMessage;
-                obs::counterAdd("oracle.crashes");
-            } else if (!result.referenceValid) {
-                verdict.verdict = Verdict::kSkippedNaN;
-                obs::counterAdd("oracle.skipped_nan");
-            } else if (!allClose(o3.outputs, references[l].outputs,
-                                 options)) {
-                obs::counterAdd("oracle.mismatches");
-                verdict.verdict = Verdict::kWrongResult;
-                verdict.detail = firstDifference(
-                    o3.outputs, references[l].outputs, options);
-                const RunResult o0 =
-                    backend->run(model, lanes[l], OptLevel::kO0);
-                verdict.localizedToOptimizer =
-                    o0.status == RunResult::Status::kOk &&
-                    !allClose(o0.outputs, o3.outputs, options);
-            }
-            result.verdicts.push_back(std::move(verdict));
-        }
+        judgeLane(model, lanes[l], references[l], backend_list, options,
+                  result);
         // Compose the lane's trace the way one sequential window would:
         // export triggers first, then the lane's backend triggers with
         // duplicates (already recorded by the export) dropped.

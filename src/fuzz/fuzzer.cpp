@@ -11,6 +11,113 @@ namespace nnsmith::fuzz {
 using difftest::CaseResult;
 using difftest::Verdict;
 
+std::optional<GraphRepro>
+rebuildGraph(const graph::Graph& graph, const exec::LeafValues& leaves,
+             const std::set<int>& keep_ops, const RebuildSpec& spec)
+{
+    GraphRepro out;
+    std::map<int, int> value_map; // old value id -> new value id
+
+    std::set<int> needed_leaves;
+    for (int id : keep_ops) {
+        for (int v : graph.node(id).inputs) {
+            const auto& producer = graph.node(graph.value(v).producer);
+            if (producer.kind != graph::NodeKind::kOp)
+                needed_leaves.insert(producer.id);
+        }
+    }
+
+    for (int id : graph.topoOrder()) {
+        const auto& node = graph.node(id);
+        if (node.kind != graph::NodeKind::kOp) {
+            if (needed_leaves.count(id) == 0)
+                continue;
+            const auto& old_value = graph.value(node.outputs[0]);
+            tensor::TensorType type = old_value.type;
+            const tensor::Tensor* binding = nullptr;
+            if (const auto edit = spec.leafValues.find(id);
+                edit != spec.leafValues.end()) {
+                binding = &edit->second;
+                type = tensor::TensorType::concrete(binding->dtype(),
+                                                    binding->shape());
+            } else if (const auto bound = leaves.find(old_value.id);
+                       bound != leaves.end()) {
+                binding = &bound->second;
+            }
+            const int new_value =
+                out.graph.addLeaf(node.kind, type, old_value.name);
+            value_map[old_value.id] = new_value;
+            if (binding != nullptr)
+                out.leaves.emplace(new_value, *binding);
+        } else if (keep_ops.count(id) != 0) {
+            std::vector<int> inputs;
+            inputs.reserve(node.inputs.size());
+            for (int v : node.inputs)
+                inputs.push_back(value_map.at(v));
+
+            std::shared_ptr<ops::OpBase> op = node.op;
+            const auto replace_it = spec.replaceOps.find(id);
+            if (replace_it != spec.replaceOps.end())
+                op = replace_it->second;
+
+            std::vector<tensor::TensorType> out_types;
+            if (spec.repropagateTypes ||
+                replace_it != spec.replaceOps.end()) {
+                std::vector<tensor::TensorType> in_types;
+                std::vector<tensor::DType> in_dtypes;
+                for (int v : inputs) {
+                    in_types.push_back(out.graph.value(v).type);
+                    in_dtypes.push_back(in_types.back().dtype());
+                }
+                if (op->inDTypes() != in_dtypes) {
+                    // The edit moved an input dtype: re-pick the
+                    // operator's combo, or report the edit untypeable.
+                    bool matched = false;
+                    for (const auto& combo : op->dtypeCombos()) {
+                        if (combo.in != in_dtypes)
+                            continue;
+                        auto clone = op->clone();
+                        clone->setDTypes(combo);
+                        op = std::shared_ptr<ops::OpBase>(std::move(clone));
+                        matched = true;
+                        break;
+                    }
+                    if (!matched)
+                        return std::nullopt;
+                }
+                for (const auto& derived : op->typeTransfer(in_types)) {
+                    auto type = derived.foldedConcrete();
+                    if (!type.has_value())
+                        return std::nullopt;
+                    out_types.push_back(std::move(*type));
+                }
+                if (out_types.size() != node.outputs.size())
+                    return std::nullopt;
+            } else {
+                for (int v : node.outputs)
+                    out_types.push_back(graph.value(v).type);
+            }
+
+            const int new_id = out.graph.addOp(op, inputs, out_types);
+            const auto& rebuilt = out.graph.node(new_id);
+            for (size_t i = 0; i < node.outputs.size(); ++i)
+                value_map[node.outputs[i]] = rebuilt.outputs[i];
+        }
+    }
+    if (out.graph.numOpNodes() == 0)
+        return std::nullopt;
+    return out;
+}
+
+std::optional<GraphRepro>
+rebuildGraph(const graph::Graph& graph, const exec::LeafValues& leaves,
+             const RebuildSpec& spec)
+{
+    const auto ops = graph.opOrder();
+    return rebuildGraph(graph, leaves, std::set<int>(ops.begin(), ops.end()),
+                        spec);
+}
+
 VirtualMs
 CostModel::backendCompile(const std::string& backend) const
 {

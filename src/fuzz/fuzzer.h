@@ -11,6 +11,10 @@
 #ifndef NNSMITH_FUZZ_FUZZER_H
 #define NNSMITH_FUZZ_FUZZER_H
 
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,16 +28,51 @@
 namespace nnsmith::fuzz {
 
 /**
- * Repro material of a flagged graph-level test case: the concrete
- * model plus the leaf tensors that triggered the defect. Attached to
- * every bug record by executeGraphCase so the reduction subsystem
- * (reduce/reducer.h) can delta-debug the case after the fact. Shared
- * (immutable) because one flagged iteration may emit several records.
+ * A graph-level test case: a concrete model plus its leaf tensors.
+ * Attached to every bug record by executeGraphCase as the repro
+ * material of the flagged case, so the reduction subsystem
+ * (reduce/reducer.h) can delta-debug it after the fact (shared and
+ * immutable there, because one flagged iteration may emit several
+ * records); also the seed and mutant type of corpus-guided mutation
+ * (fuzz/mutator.h).
  */
 struct GraphRepro {
     graph::Graph graph;
     exec::LeafValues leaves;
 };
+
+/** Edits applied by rebuildGraph; an empty spec edits nothing. */
+struct RebuildSpec {
+    /** Op node id -> replacement operator (output types re-derived). */
+    std::map<int, std::shared_ptr<ops::OpBase>> replaceOps;
+    /** Leaf node id -> its new binding; the leaf takes the binding's
+     *  dtype and shape. */
+    std::map<int, tensor::Tensor> leafValues;
+    /** Re-derive every kept op's output types through typeTransfer
+     *  (needed when a leafValues retype ripples downstream). */
+    bool repropagateTypes = false;
+};
+
+/**
+ * Rebuild the subgraph of @p graph made of @p keep_ops (a
+ * producer-closed op-node set) plus the leaves they read, applying
+ * @p spec. Nodes are added densely in topological order, so value ids
+ * are renumbered into the canonical form the corpus round-trip
+ * requires. Leaf bindings are carried by value; unedited ops are
+ * shared with @p graph (immutable once concrete). Returns nullopt when
+ * an edit cannot type (no dtype combo of an op matches its new input
+ * dtypes, or a derived dim does not fold to a constant) or no op is
+ * kept. The reducer's candidate subgraphs and the mutator's mutants
+ * are both built here.
+ */
+std::optional<GraphRepro>
+rebuildGraph(const graph::Graph& graph, const exec::LeafValues& leaves,
+             const std::set<int>& keep_ops, const RebuildSpec& spec = {});
+
+/** rebuildGraph keeping every op of @p graph. */
+std::optional<GraphRepro>
+rebuildGraph(const graph::Graph& graph, const exec::LeafValues& leaves,
+             const RebuildSpec& spec = {});
 
 /**
  * Repro material of a flagged TIR pass-sequence case: the program, the

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 
 #include "backends/graph_pass.h"
 #include "corpus/corpus.h"
@@ -16,7 +14,6 @@
 #include "obs/metrics.h"
 #include "ops/broadcast.h"
 #include "ops/registry.h"
-#include "symbolic/expr.h"
 
 namespace nnsmith::fuzz {
 
@@ -30,27 +27,7 @@ using tensor::TensorType;
 
 namespace {
 
-// ---- graph rebuilding ------------------------------------------------------
-
-/** Live op-node ids in topological order. */
-std::vector<int>
-opNodeIds(const Graph& g)
-{
-    std::vector<int> ids;
-    for (int id : g.topoOrder()) {
-        const auto& node = g.node(id);
-        if (!node.dead && node.kind == NodeKind::kOp)
-            ids.push_back(id);
-    }
-    return ids;
-}
-
-std::set<int>
-allOpSet(const Graph& g)
-{
-    const auto ids = opNodeIds(g);
-    return {ids.begin(), ids.end()};
-}
+// ---- leaf regeneration -----------------------------------------------------
 
 double
 randomScalar(DType dtype, Rng& rng)
@@ -77,125 +54,6 @@ regenerateLeaf(const Tensor& old, const TensorType& type, Rng& rng)
         for (int64_t i = 0; i < out.numel(); ++i)
             out.setScalar(i, randomScalar(type.dtype(), rng));
     }
-    return out;
-}
-
-/** Structural edits applied during a rebuild. */
-struct RebuildSpec {
-    /** node id -> replacement operator (out types re-derived). */
-    std::map<int, std::shared_ptr<OpBase>> replaceOps;
-    /** leaf node id -> new leaf type (binding carried/refilled). */
-    std::map<int, TensorType> leafTypes;
-    /** Re-derive every op's output types through typeTransfer (needed
-     *  when leafTypes changes ripple downstream). */
-    bool repropagateTypes = false;
-};
-
-/**
- * Rebuild @p keep_ops (a producer-closed set) densely in topological
- * order — reduce/reducer.cpp's extract idiom — applying @p spec.
- * Returns nullopt when the edit cannot type (no matching dtype combo,
- * a symbolic fold left a non-concrete dim, or no op survived); the
- * caller falls back to value perturbation.
- */
-std::optional<GraphSeedCase>
-rebuild(const Graph& g, const exec::LeafValues& leaves,
-        const std::set<int>& keep_ops, const RebuildSpec& spec, Rng& rng)
-{
-    GraphSeedCase out;
-    std::map<int, int> value_map; // old value id -> new value id
-
-    std::set<int> needed_leaves;
-    for (int id : keep_ops) {
-        for (int v : g.node(id).inputs) {
-            const auto& producer = g.node(g.value(v).producer);
-            if (producer.kind != NodeKind::kOp)
-                needed_leaves.insert(producer.id);
-        }
-    }
-
-    for (int id : g.topoOrder()) {
-        const auto& node = g.node(id);
-        if (node.kind != NodeKind::kOp) {
-            if (needed_leaves.count(id) == 0)
-                continue;
-            const int old_value = node.outputs[0];
-            TensorType type = g.value(old_value).type;
-            const auto override_it = spec.leafTypes.find(id);
-            if (override_it != spec.leafTypes.end())
-                type = override_it->second;
-            const int new_value =
-                out.graph.addLeaf(node.kind, type, g.value(old_value).name);
-            value_map[old_value] = new_value;
-            const auto bound = leaves.find(old_value);
-            if (bound != leaves.end()) {
-                if (override_it == spec.leafTypes.end())
-                    out.leaves.emplace(new_value, bound->second);
-                else
-                    out.leaves.emplace(
-                        new_value, regenerateLeaf(bound->second, type, rng));
-            }
-        } else if (keep_ops.count(id) != 0) {
-            std::vector<int> inputs;
-            inputs.reserve(node.inputs.size());
-            for (int v : node.inputs)
-                inputs.push_back(value_map.at(v));
-
-            std::shared_ptr<OpBase> op = node.op;
-            const auto replace_it = spec.replaceOps.find(id);
-            if (replace_it != spec.replaceOps.end())
-                op = replace_it->second;
-
-            std::vector<TensorType> out_types;
-            if (spec.repropagateTypes ||
-                replace_it != spec.replaceOps.end()) {
-                std::vector<TensorType> in_types;
-                std::vector<DType> in_dtypes;
-                for (int v : inputs) {
-                    in_types.push_back(out.graph.value(v).type);
-                    in_dtypes.push_back(in_types.back().dtype());
-                }
-                if (op->inDTypes() != in_dtypes) {
-                    // The edit moved an input dtype: re-pick the
-                    // operator's combo, or report the edit untypeable.
-                    bool matched = false;
-                    for (const auto& combo : op->dtypeCombos()) {
-                        if (combo.in != in_dtypes)
-                            continue;
-                        auto clone = op->clone();
-                        clone->setDTypes(combo);
-                        op = std::shared_ptr<OpBase>(std::move(clone));
-                        matched = true;
-                        break;
-                    }
-                    if (!matched)
-                        return std::nullopt;
-                }
-                for (const auto& derived : op->typeTransfer(in_types)) {
-                    std::vector<symbolic::ExprRef> folded;
-                    folded.reserve(derived.shape().size());
-                    for (const auto& dim : derived.shape())
-                        folded.push_back(symbolic::simplify(dim));
-                    TensorType type(derived.dtype(), std::move(folded));
-                    if (!type.isConcrete())
-                        return std::nullopt;
-                    out_types.push_back(std::move(type));
-                }
-                if (out_types.size() != node.outputs.size())
-                    return std::nullopt;
-            } else {
-                for (int v : node.outputs)
-                    out_types.push_back(g.value(v).type);
-            }
-
-            const int new_id = out.graph.addOp(op, inputs, out_types);
-            const auto& rebuilt = out.graph.node(new_id);
-            for (size_t i = 0; i < node.outputs.size(); ++i)
-                value_map[node.outputs[i]] = rebuilt.outputs[i];
-        }
-    }
-    if (out.graph.numOpNodes() == 0)
-        return std::nullopt;
     return out;
 }
 
@@ -281,11 +139,10 @@ makeSoftmax(const TensorType& type, Rng& rng)
  *  so insertion regains some of the op diversity a fresh 10-op draw
  *  would have; the graph stays connected and densely topo-numbered —
  *  each new node is appended last. */
-std::optional<GraphSeedCase>
-tryInsert(const GraphSeedCase& seed, Rng& rng)
+std::optional<GraphRepro>
+tryInsert(const GraphRepro& seed, Rng& rng)
 {
-    auto rebuilt =
-        rebuild(seed.graph, seed.leaves, allOpSet(seed.graph), {}, rng);
+    auto rebuilt = rebuildGraph(seed.graph, seed.leaves);
     if (!rebuilt.has_value())
         return std::nullopt;
     Graph& g = rebuilt->graph;
@@ -325,10 +182,10 @@ tryInsert(const GraphSeedCase& seed, Rng& rng)
 /** Delete: drop a random op and its transitive consumers (the kept set
  *  is producer-closed by construction); validate() rejects the mutant
  *  if the removal disconnects the graph. */
-std::optional<GraphSeedCase>
-tryDelete(const GraphSeedCase& seed, Rng& rng)
+std::optional<GraphRepro>
+tryDelete(const GraphRepro& seed, Rng& rng)
 {
-    const auto ops_in_order = opNodeIds(seed.graph);
+    const auto ops_in_order = seed.graph.opOrder();
     if (ops_in_order.size() < 2)
         return std::nullopt; // deleting the only op leaves no graph
     const int victim = ops_in_order[rng.index(ops_in_order.size())];
@@ -351,16 +208,16 @@ tryDelete(const GraphSeedCase& seed, Rng& rng)
             keep.insert(id);
     if (keep.empty())
         return std::nullopt;
-    return rebuild(seed.graph, seed.leaves, keep, {}, rng);
+    return rebuildGraph(seed.graph, seed.leaves, keep);
 }
 
 /** Swap: replace one attr-free unary op with another of the same
  *  dtype signature. */
-std::optional<GraphSeedCase>
-trySwap(const GraphSeedCase& seed, Rng& rng)
+std::optional<GraphRepro>
+trySwap(const GraphRepro& seed, Rng& rng)
 {
     std::vector<int> candidates;
-    for (int id : opNodeIds(seed.graph)) {
+    for (int id : seed.graph.opOrder()) {
         const auto& op = *seed.graph.node(id).op;
         if (op.numInputs() != 1 || op.numOutputs() != 1 ||
             op.inDTypes().size() != 1 ||
@@ -387,7 +244,7 @@ trySwap(const GraphSeedCase& seed, Rng& rng)
         return std::nullopt;
     RebuildSpec spec;
     spec.replaceOps[target] = std::move(replacement);
-    return rebuild(seed.graph, seed.leaves, allOpSet(seed.graph), spec, rng);
+    return rebuildGraph(seed.graph, seed.leaves, spec);
 }
 
 DType
@@ -407,7 +264,7 @@ std::vector<int>
 leafNodeIds(const Graph& g)
 {
     std::set<int> fed;
-    for (int id : opNodeIds(g)) {
+    for (int id : g.opOrder()) {
         for (int v : g.node(id).inputs) {
             const auto& producer = g.node(g.value(v).producer);
             if (producer.kind != NodeKind::kOp)
@@ -417,10 +274,23 @@ leafNodeIds(const Graph& g)
     return {fed.begin(), fed.end()};
 }
 
+/** Retype @p leaf to @p type, carrying its binding across
+ *  (regenerateLeaf), and repropagate type transfer downstream. */
+std::optional<GraphRepro>
+retypeLeaf(const GraphRepro& seed, int leaf, const TensorType& type, Rng& rng)
+{
+    const int value = seed.graph.node(leaf).outputs[0];
+    RebuildSpec spec;
+    spec.leafValues.emplace(
+        leaf, regenerateLeaf(seed.leaves.at(value), type, rng));
+    spec.repropagateTypes = true;
+    return rebuildGraph(seed.graph, seed.leaves, spec);
+}
+
 /** Dtype flip: widen/narrow one leaf (f32<->f64, i32<->i64) and
  *  repropagate type transfer through the whole graph. */
-std::optional<GraphSeedCase>
-tryDtypeFlip(const GraphSeedCase& seed, Rng& rng)
+std::optional<GraphRepro>
+tryDtypeFlip(const GraphRepro& seed, Rng& rng)
 {
     std::vector<int> candidates;
     for (int id : leafNodeIds(seed.graph)) {
@@ -434,18 +304,17 @@ tryDtypeFlip(const GraphSeedCase& seed, Rng& rng)
     const int leaf = candidates[rng.index(candidates.size())];
     const TensorType old_type =
         seed.graph.value(seed.graph.node(leaf).outputs[0]).type;
-    RebuildSpec spec;
-    spec.leafTypes[leaf] = TensorType::concrete(
-        flipPartner(old_type.dtype()), old_type.concreteShape());
-    spec.repropagateTypes = true;
-    return rebuild(seed.graph, seed.leaves, allOpSet(seed.graph), spec, rng);
+    return retypeLeaf(seed, leaf,
+                      TensorType::concrete(flipPartner(old_type.dtype()),
+                                           old_type.concreteShape()),
+                      rng);
 }
 
 /** Shape perturb: grow/shrink one dimension of one leaf by 1 and
  *  repropagate; ops whose requirements break fail validate() and fall
  *  back. */
-std::optional<GraphSeedCase>
-tryShapePerturb(const GraphSeedCase& seed, Rng& rng)
+std::optional<GraphRepro>
+tryShapePerturb(const GraphRepro& seed, Rng& rng)
 {
     std::vector<int> candidates;
     for (int id : leafNodeIds(seed.graph)) {
@@ -466,20 +335,17 @@ tryShapePerturb(const GraphSeedCase& seed, Rng& rng)
         d -= 1;
     else
         d += rng.chance(0.5) ? 1 : -1;
-    RebuildSpec spec;
-    spec.leafTypes[leaf] = TensorType::concrete(old_type.dtype(), shape);
-    spec.repropagateTypes = true;
-    return rebuild(seed.graph, seed.leaves, allOpSet(seed.graph), spec, rng);
+    return retypeLeaf(seed, leaf, TensorType::concrete(old_type.dtype(), shape),
+                      rng);
 }
 
 /** The always-valid fallback: canonical rebuild + one leaf scalar
  *  nudged (types untouched, so validity is the seed's). */
-GraphSeedCase
-perturbLeafValues(const GraphSeedCase& seed, Rng& rng)
+GraphRepro
+perturbLeafValues(const GraphRepro& seed, Rng& rng)
 {
-    auto rebuilt =
-        rebuild(seed.graph, seed.leaves, allOpSet(seed.graph), {}, rng);
-    GraphSeedCase out = rebuilt.has_value() ? std::move(*rebuilt) : seed;
+    auto rebuilt = rebuildGraph(seed.graph, seed.leaves);
+    GraphRepro out = rebuilt.has_value() ? std::move(*rebuilt) : seed;
     if (out.leaves.empty())
         return out;
     auto it = out.leaves.begin();
@@ -505,35 +371,14 @@ perturbLeafValues(const GraphSeedCase& seed, Rng& rng)
     return out;
 }
 
-/** Instance keys in GeneratedModel::instanceKeys() format, so mutant
- *  coverage lands in the same op-instance bins as fresh draws. */
-std::vector<std::string>
-graphInstanceKeys(const Graph& g)
-{
-    std::vector<std::string> keys;
-    for (const auto& node : g.nodes()) {
-        if (node.dead || node.kind != NodeKind::kOp)
-            continue;
-        std::ostringstream os;
-        os << node.op->name() << "|";
-        for (int v : node.inputs)
-            os << g.value(v).type.toString() << ",";
-        os << "|";
-        for (const auto& attr : node.op->attrs())
-            os << attr.name << "=" << attr.value << ",";
-        keys.push_back(os.str());
-    }
-    return keys;
-}
-
 } // namespace
 
 // ---- public mutation entry points ------------------------------------------
 
-GraphSeedCase
-mutateGraphCase(const GraphSeedCase& seed, Rng& rng)
+GraphRepro
+mutateGraphCase(const GraphRepro& seed, Rng& rng)
 {
-    std::optional<GraphSeedCase> mutant;
+    std::optional<GraphRepro> mutant;
     switch (rng.index(6)) {
       case 0: mutant = tryInsert(seed, rng); break;
       case 1: mutant = tryDelete(seed, rng); break;
@@ -573,7 +418,7 @@ void
 MutationPool::addBug(const BugRecord& bug)
 {
     if (bug.graphRepro != nullptr) {
-        graphs_.push_back({bug.graphRepro->graph, bug.graphRepro->leaves});
+        graphs_.push_back(*bug.graphRepro);
     } else if (bug.graphSeqRepro != nullptr) {
         graphSeqs_.push_back({bug.backend, bug.graphSeqRepro->graph,
                               bug.graphSeqRepro->leaves,
@@ -666,17 +511,17 @@ CorpusGuidedFuzzer::iterate(
 
 IterationOutcome
 CorpusGuidedFuzzer::runGraphMutant(
-    const GraphSeedCase& seed,
+    const GraphRepro& seed,
     const std::vector<backends::Backend*>& backend_list)
 {
-    const GraphSeedCase mutant = mutateGraphCase(seed, rng_);
+    const GraphRepro mutant = mutateGraphCase(seed, rng_);
     IterationOutcome outcome = executeGraphCase(mutant.graph, mutant.leaves,
                                                 backend_list, options_.cost);
     // Mutation rebuilds instead of constraint-solving: a quarter of
     // the per-op generation cost.
     outcome.cost += options_.cost.generationPerOp / 4 *
                     std::max(1, mutant.graph.numOpNodes());
-    outcome.instanceKeys = graphInstanceKeys(mutant.graph);
+    outcome.instanceKeys = gen::instanceKeys(mutant.graph);
 
     // The sequence half of the loop, applied to graph seeds: drive the
     // mutant through a mutated pass pipeline of one pass-capable
@@ -735,7 +580,7 @@ CorpusGuidedFuzzer::runGraphSeqMutant(
                    "corpus-guided: backend ", seed.backend,
                    " vanished from the campaign's backend list");
 
-    GraphSeedCase mutant = {seed.graph, seed.leaves};
+    GraphRepro mutant = {seed.graph, seed.leaves};
     if (rng_.chance(0.5))
         mutant = mutateGraphCase(mutant, rng_);
     const auto sequence =

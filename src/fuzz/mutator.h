@@ -20,10 +20,12 @@
  *    uses, dtype flips and leaf-shape perturbation with full
  *    type-transfer repropagation, and leaf-value perturbation (the
  *    %.17g-precision buffers). Every structural operator rebuilds the
- *    graph with producer-closure preserved (reduce/reducer.h's
- *    extract idiom) and re-checks `graph::validate`; a candidate that
- *    fails validation falls back deterministically to leaf-value
- *    perturbation, so **every mutant is valid by construction**.
+ *    graph through fuzz::rebuildGraph (fuzz/fuzzer.h, the rebuild the
+ *    reducer's candidate subgraphs also go through) with
+ *    producer-closure preserved and re-checks `graph::validate`; a
+ *    candidate that fails validation falls back deterministically to
+ *    leaf-value perturbation, so **every mutant is valid by
+ *    construction**.
  *  - **Sequence** (TIR and graph-pass repros): splice / truncate /
  *    reorder of the recorded high-yield pass sequence
  *    (backends::mutatePassSequence), drawing replacement passes only
@@ -47,12 +49,6 @@
 #include "tirlite/tir.h"
 
 namespace nnsmith::fuzz {
-
-/** A graph-repro mutation seed: concrete model + leaf buffers. */
-struct GraphSeedCase {
-    graph::Graph graph;
-    exec::LeafValues leaves;
-};
 
 /** A TIR pass-sequence mutation seed (TVMLite repros). */
 struct TirSeqSeedCase {
@@ -96,7 +92,7 @@ class MutationPool {
         return graphs_.size() + tirSeqs_.size() + graphSeqs_.size();
     }
 
-    const std::vector<GraphSeedCase>& graphSeeds() const { return graphs_; }
+    const std::vector<GraphRepro>& graphSeeds() const { return graphs_; }
     const std::vector<TirSeqSeedCase>& tirSeqSeeds() const
     {
         return tirSeqs_;
@@ -107,7 +103,7 @@ class MutationPool {
     }
 
   private:
-    std::vector<GraphSeedCase> graphs_;
+    std::vector<GraphRepro> graphs_;
     std::vector<TirSeqSeedCase> tirSeqs_;
     std::vector<GraphSeqSeedCase> graphSeqs_;
 };
@@ -121,7 +117,7 @@ class MutationPool {
  * minimized (canonical) seeds yield canonical mutants whose repros
  * round-trip byte-identically.
  */
-GraphSeedCase mutateGraphCase(const GraphSeedCase& seed, Rng& rng);
+GraphRepro mutateGraphCase(const GraphRepro& seed, Rng& rng);
 
 /**
  * The corpus-guided campaign fuzzer: wraps the campaign's fresh-case
@@ -170,7 +166,7 @@ class CorpusGuidedFuzzer final : public Fuzzer {
 
   private:
     IterationOutcome
-    runGraphMutant(const GraphSeedCase& seed,
+    runGraphMutant(const GraphRepro& seed,
                    const std::vector<backends::Backend*>& backend_list);
     IterationOutcome runTirSeqMutant(const TirSeqSeedCase& seed);
     IterationOutcome

@@ -47,7 +47,7 @@ dimBoundsFor(const TensorType& type, const GeneratorConfig& config)
 }
 
 std::vector<std::string>
-GeneratedModel::instanceKeys() const
+instanceKeys(const Graph& graph)
 {
     std::vector<std::string> keys;
     for (const auto& node : graph.nodes()) {
@@ -63,6 +63,12 @@ GeneratedModel::instanceKeys() const
         keys.push_back(os.str());
     }
     return keys;
+}
+
+std::vector<std::string>
+GeneratedModel::instanceKeys() const
+{
+    return gen::instanceKeys(graph);
 }
 
 struct GraphGenerator::Session {

@@ -81,10 +81,17 @@ struct GeneratedModel {
     int solverQueries = 0;
     int rejectedInsertions = 0;
 
-    /** Instance key for Fig. 9 diversity stats:
-     *  "<op>|<in types>|<attrs>" per operator node. */
+    /** gen::instanceKeys(graph). */
     std::vector<std::string> instanceKeys() const;
 };
+
+/**
+ * Instance keys for Fig. 9 diversity stats, one per live operator node
+ * in node order: "<op>|<in types>|<attrs>". An instance is an
+ * operator's input types plus its attributes; every graph-producing
+ * fuzzer keys its cases with this one rule.
+ */
+std::vector<std::string> instanceKeys(const graph::Graph& graph);
 
 /** See file comment. */
 class GraphGenerator {

@@ -272,6 +272,17 @@ Graph::topoOrder() const
     return order;
 }
 
+std::vector<int>
+Graph::opOrder() const
+{
+    std::vector<int> ops;
+    for (int id : topoOrder()) {
+        if (node(id).kind == NodeKind::kOp)
+            ops.push_back(id);
+    }
+    return ops;
+}
+
 bool
 Graph::isConcrete() const
 {

@@ -121,6 +121,10 @@ class Graph {
     /** Live node ids in topological order (inputs first). */
     std::vector<int> topoOrder() const;
 
+    /** Live op-node ids in topological order: topoOrder() without the
+     *  leaves. */
+    std::vector<int> opOrder() const;
+
     /** True if every value type is concrete and every op concretized. */
     bool isConcrete() const;
 

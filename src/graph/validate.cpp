@@ -71,21 +71,17 @@ checkOpNode(const Graph& g, const Node& n, ValidationResult& result)
     }
     for (size_t i = 0; i < out_types.size(); ++i) {
         const TensorType& recorded = g.value(n.outputs[i]).type;
-        TensorType derived(out_types[i].dtype(), out_types[i].shape());
         // Fold the transfer expressions; all inputs are concrete.
-        std::vector<symbolic::ExprRef> folded;
-        for (const auto& d : derived.shape())
-            folded.push_back(symbolic::simplify(d));
-        derived = TensorType(derived.dtype(), std::move(folded));
-        if (!derived.isConcrete()) {
+        const auto derived = out_types[i].foldedConcrete();
+        if (!derived.has_value()) {
             err("type transfer not concrete for output " +
                 std::to_string(i));
             continue;
         }
-        if (recorded.dtype() != derived.dtype() ||
-            !(recorded.concreteShape() == derived.concreteShape())) {
+        if (recorded.dtype() != derived->dtype() ||
+            !(recorded.concreteShape() == derived->concreteShape())) {
             err("output " + std::to_string(i) + " recorded " +
-                recorded.toString() + " != derived " + derived.toString());
+                recorded.toString() + " != derived " + derived->toString());
         }
     }
 }

@@ -80,74 +80,6 @@ closeOverProducers(const graph::Graph& graph, std::set<int> keep)
     return keep;
 }
 
-struct GraphCase {
-    graph::Graph graph;
-    exec::LeafValues leaves;
-};
-
-/**
- * Rebuild the subgraph keeping exactly @p keep_ops (producer-closed)
- * plus the leaves they consume, remapping leaf bindings. Ops are
- * shared with the original graph (immutable once concrete).
- */
-GraphCase
-extractSubgraph(const graph::Graph& graph, const exec::LeafValues& leaves,
-                const std::set<int>& keep_ops)
-{
-    GraphCase out;
-    std::map<int, int> value_map; // original value id -> rebuilt id
-    std::set<int> needed_leaves;
-    for (int id : keep_ops) {
-        for (int v : graph.node(id).inputs) {
-            const auto& producer = graph.node(graph.value(v).producer);
-            if (producer.kind != graph::NodeKind::kOp)
-                needed_leaves.insert(producer.id);
-        }
-    }
-    for (int id : graph.topoOrder()) {
-        const auto& node = graph.node(id);
-        if (node.kind != graph::NodeKind::kOp) {
-            if (needed_leaves.count(id) == 0)
-                continue;
-            const int old_value = node.outputs[0];
-            const int new_value = out.graph.addLeaf(
-                node.kind, graph.value(old_value).type,
-                graph.value(old_value).name);
-            value_map[old_value] = new_value;
-            const auto bound = leaves.find(old_value);
-            if (bound != leaves.end())
-                out.leaves.emplace(new_value, bound->second);
-        } else if (keep_ops.count(id) != 0) {
-            std::vector<int> inputs;
-            inputs.reserve(node.inputs.size());
-            for (int v : node.inputs)
-                inputs.push_back(value_map.at(v));
-            std::vector<tensor::TensorType> output_types;
-            output_types.reserve(node.outputs.size());
-            for (int v : node.outputs)
-                output_types.push_back(graph.value(v).type);
-            const int new_id =
-                out.graph.addOp(node.op, inputs, output_types);
-            const auto& rebuilt = out.graph.node(new_id);
-            for (size_t i = 0; i < node.outputs.size(); ++i)
-                value_map[node.outputs[i]] = rebuilt.outputs[i];
-        }
-    }
-    return out;
-}
-
-/** Live op-node ids in deterministic (topological) order. */
-std::vector<int>
-opNodesInOrder(const graph::Graph& graph)
-{
-    std::vector<int> ops;
-    for (int id : graph.topoOrder()) {
-        if (graph.node(id).kind == graph::NodeKind::kOp)
-            ops.push_back(id);
-    }
-    return ops;
-}
-
 using Records = std::vector<BugRecord>;
 
 /**
@@ -173,18 +105,19 @@ minimizeGraphBug(BugRecord& bug,
     if (findFingerprint(full_records, target) == nullptr)
         return false;
 
-    const std::vector<int> ops = opNodesInOrder(repro.graph);
+    const std::vector<int> ops = repro.graph.opOrder();
     auto evaluate = [&](const std::set<int>& keep) -> const Records* {
         std::vector<int> key(keep.begin(), keep.end());
         auto it = cache.find(key);
         if (it == cache.end()) {
-            GraphCase candidate =
-                extractSubgraph(repro.graph, repro.leaves, keep);
+            const auto candidate =
+                fuzz::rebuildGraph(repro.graph, repro.leaves, keep);
             std::shared_ptr<const Records> records;
-            if (graph::validate(candidate.graph).ok()) {
+            if (candidate.has_value() &&
+                graph::validate(candidate->graph).ok()) {
                 records = std::make_shared<Records>(
                     fuzz::bugsFromCase(difftest::runCase(
-                        candidate.graph, candidate.leaves, backends)));
+                        candidate->graph, candidate->leaves, backends)));
             }
             it = cache.emplace(std::move(key), std::move(records)).first;
         }
@@ -208,10 +141,11 @@ minimizeGraphBug(BugRecord& bug,
         keep.insert(ops[index]);
     keep = closeOverProducers(repro.graph, keep);
 
-    auto minimized = std::make_shared<fuzz::GraphRepro>();
-    GraphCase reduced = extractSubgraph(repro.graph, repro.leaves, keep);
-    minimized->graph = std::move(reduced.graph);
-    minimized->leaves = std::move(reduced.leaves);
+    auto reduced = fuzz::rebuildGraph(repro.graph, repro.leaves, keep);
+    if (!reduced.has_value())
+        return false; // no op to keep: a repro without ops
+    auto minimized =
+        std::make_shared<const fuzz::GraphRepro>(std::move(*reduced));
     // The minimized repro's own trigger trace and diagnostic detail
     // (what the report shows); bug.defects keeps the discovery-time
     // trace.
@@ -318,16 +252,13 @@ minimizeGraphSeqBug(BugRecord& bug, const ReduceOptions& options)
     // (graph reduction gets this for free from its kept-set rebuilds).
     // The oracle runs against the canonical model below, so the
     // repro's still-fires check covers the renumbering too.
-    const std::vector<int> ops = opNodesInOrder(original.graph);
+    auto canonical = fuzz::rebuildGraph(original.graph, original.leaves);
+    if (!canonical.has_value())
+        return false; // no op to keep: a repro without ops
     auto repro = std::make_shared<fuzz::GraphSeqRepro>();
-    {
-        GraphCase canonical = extractSubgraph(
-            original.graph, original.leaves,
-            std::set<int>(ops.begin(), ops.end()));
-        repro->graph = std::move(canonical.graph);
-        repro->leaves = std::move(canonical.leaves);
-        repro->sequence = original.sequence;
-    }
+    repro->graph = std::move(canonical->graph);
+    repro->leaves = std::move(canonical->leaves);
+    repro->sequence = original.sequence;
     const fuzz::GraphSequenceOracle oracle(bug.backend, repro->graph,
                                            repro->leaves);
     auto minimal = minimizeSequence(

@@ -8,7 +8,9 @@
  *
  *  - **GraphReducer** delta-debugs a flagged Graph by removing op
  *    nodes (candidate kept-sets are closed over producers so the
- *    subgraph stays well-formed), re-validates every candidate via
+ *    subgraph stays well-formed), rebuilds every candidate through
+ *    fuzz::rebuildGraph (fuzz/fuzzer.h, the rebuild corpus-guided
+ *    mutation also uses) with an empty spec, re-validates it via
  *    graph/validate, and re-runs the difftest oracle to check that the
  *    *same* defect-trace fingerprint still fires.
  *

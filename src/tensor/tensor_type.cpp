@@ -71,6 +71,19 @@ TensorType::isConcrete() const
     return true;
 }
 
+std::optional<TensorType>
+TensorType::foldedConcrete() const
+{
+    std::vector<ExprRef> folded;
+    folded.reserve(shape_.size());
+    for (const auto& d : shape_)
+        folded.push_back(symbolic::simplify(d));
+    TensorType out(dtype_, std::move(folded));
+    if (!out.isConcrete())
+        return std::nullopt;
+    return out;
+}
+
 Shape
 TensorType::concreteShape() const
 {

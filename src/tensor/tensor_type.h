@@ -10,6 +10,7 @@
 #ifndef NNSMITH_TENSOR_TENSOR_TYPE_H
 #define NNSMITH_TENSOR_TENSOR_TYPE_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,13 @@ class TensorType {
 
     /** True iff every dimension is a constant expression. */
     bool isConcrete() const;
+
+    /**
+     * Constant-fold every dimension (symbolic::simplify): the folded
+     * type when every dimension then is constant, nullopt otherwise.
+     * The one fold for type-transfer results over concrete inputs.
+     */
+    std::optional<TensorType> foldedConcrete() const;
 
     /** Concrete shape; requires isConcrete() or a covering model. */
     Shape concreteShape() const;

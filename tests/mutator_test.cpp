@@ -4,17 +4,20 @@
  *  graph/validate and every mutated sequence stays inside the owning
  *  registry), mutant-repro canonicality (render -> parse -> render is
  *  byte-identical), and seed-determinism of the CorpusGuidedFuzzer
- *  end to end. */
+ *  end to end. Also the shared subgraph rebuild both the mutator and
+ *  the reducer build on (fuzz::rebuildGraph, fuzz/fuzzer.h). */
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <set>
 
 #include "backends/graph_pass.h"
+#include "baselines/concrete_builder.h"
 #include "corpus/corpus.h"
 #include "corpus/parser.h"
 #include "difftest/oracle.h"
 #include "fuzz/mutator.h"
+#include "gen/generator.h"
 #include "graph/validate.h"
 #include "tirlite/tir_passes.h"
 
@@ -29,7 +32,7 @@ goldenDir()
 }
 
 void
-expectSameCase(const fuzz::GraphSeedCase& a, const fuzz::GraphSeedCase& b)
+expectSameCase(const fuzz::GraphRepro& a, const fuzz::GraphRepro& b)
 {
     EXPECT_EQ(a.graph.toString(), b.graph.toString());
     ASSERT_EQ(a.leaves.size(), b.leaves.size());
@@ -41,6 +44,168 @@ expectSameCase(const fuzz::GraphSeedCase& a, const fuzz::GraphSeedCase& b)
         for (int64_t i = 0; i < tensor.numel(); ++i)
             EXPECT_EQ(tensor.scalarAt(i), it->second.scalarAt(i));
     }
+}
+
+/** @p bug rendered as a repro with its graph case replaced by
+ *  @p repro. */
+std::string
+renderAs(const fuzz::BugRecord& bug, const fuzz::GraphRepro& repro)
+{
+    fuzz::BugRecord out = bug;
+    out.graphRepro = std::make_shared<const fuzz::GraphRepro>(repro);
+    return corpus::renderRepro(out);
+}
+
+/** The first graph repro of the golden corpus (a rendering template). */
+fuzz::BugRecord
+goldenGraphBug()
+{
+    for (const auto& entry : corpus::loadCorpusIndex(goldenDir())) {
+        auto bug = corpus::parseRepro(corpus::readCorpusFile(
+            (std::filesystem::path(goldenDir()) / entry.file).string()));
+        if (bug.graphRepro != nullptr)
+            return bug;
+    }
+    ADD_FAILURE() << "golden corpus has no graph repro";
+    return {};
+}
+
+/** A raw generated case (generation-time node and value ids) bound
+ *  to random leaves. */
+fuzz::GraphRepro
+generatedCase(uint64_t seed)
+{
+    gen::GeneratorConfig config;
+    config.targetOpNodes = 6;
+    gen::GraphGenerator generator(config, seed);
+    fuzz::GraphRepro out;
+    out.graph = generator.generate().value().graph;
+    Rng rng(seed);
+    out.leaves = exec::randomLeaves(out.graph, rng);
+    return out;
+}
+
+/** Leaf value ids of @p g in topological order. */
+std::vector<int>
+leafValuesInOrder(const graph::Graph& g)
+{
+    std::vector<int> out;
+    for (int id : g.topoOrder()) {
+        if (g.node(id).kind != graph::NodeKind::kOp)
+            out.push_back(g.node(id).outputs[0]);
+    }
+    return out;
+}
+
+TEST(Rebuild, KeepingEveryOpIsCanonicalAndBindsLeavesByValue)
+{
+    const fuzz::BugRecord bug = goldenGraphBug();
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        const fuzz::GraphRepro source = generatedCase(seed);
+        const auto rebuilt = fuzz::rebuildGraph(source.graph, source.leaves);
+        ASSERT_TRUE(rebuilt.has_value());
+        EXPECT_EQ(rebuilt->graph.numOpNodes(), source.graph.numOpNodes());
+        EXPECT_TRUE(graph::validate(rebuilt->graph).ok());
+
+        const std::string rendered = renderAs(bug, *rebuilt);
+        EXPECT_EQ(corpus::renderRepro(corpus::parseRepro(rendered)),
+                  rendered)
+            << "seed " << seed;
+
+        // Leaves keep their topological order; each rebuilt leaf is
+        // bound to the same values as its source leaf.
+        const auto before = leafValuesInOrder(source.graph);
+        const auto after = leafValuesInOrder(rebuilt->graph);
+        ASSERT_EQ(before.size(), after.size());
+        ASSERT_EQ(rebuilt->leaves.size(), after.size());
+        for (size_t i = 0; i < before.size(); ++i) {
+            const auto& a = source.leaves.at(before[i]);
+            const auto& b = rebuilt->leaves.at(after[i]);
+            ASSERT_EQ(a.dtype(), b.dtype());
+            ASSERT_EQ(a.shape(), b.shape());
+            for (int64_t k = 0; k < a.numel(); ++k)
+                EXPECT_EQ(a.scalarAt(k), b.scalarAt(k));
+        }
+    }
+}
+
+TEST(Rebuild, StrictSubsetDropsEveryUnreadLeaf)
+{
+    size_t checked = 0;
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+        const fuzz::GraphRepro source = generatedCase(seed);
+        const auto ops = source.graph.opOrder();
+        ASSERT_GE(ops.size(), 2u);
+        // The first op in topological order reads only leaves, so
+        // keeping it alone is producer-closed.
+        const int first = ops.front();
+        std::set<int> read;
+        for (int v : source.graph.node(first).inputs)
+            read.insert(source.graph.value(v).producer);
+        if (read.size() == leafValuesInOrder(source.graph).size())
+            continue; // every leaf is read; nothing to drop
+        ++checked;
+
+        const auto rebuilt = fuzz::rebuildGraph(
+            source.graph, source.leaves, std::set<int>{first});
+        ASSERT_TRUE(rebuilt.has_value());
+        EXPECT_EQ(rebuilt->graph.numOpNodes(), 1);
+        EXPECT_EQ(leafValuesInOrder(rebuilt->graph).size(), read.size());
+        EXPECT_EQ(rebuilt->leaves.size(), read.size());
+        EXPECT_TRUE(graph::validate(rebuilt->graph).ok());
+    }
+    EXPECT_GT(checked, 0u);
+}
+
+TEST(Rebuild, LeafOverrideRederivesDownstreamTypes)
+{
+    graph::Graph g;
+    const int x = baselines::addInput(g, tensor::DType::kF32,
+                                      tensor::Shape{{2, 3}});
+    const int y = baselines::appendUnary(g, ops::UnaryKind::kSin, x,
+                                         tensor::DType::kF32);
+    const int z = baselines::appendUnary(g, ops::UnaryKind::kAbs, y,
+                                         tensor::DType::kF32);
+    (void)z;
+    Rng rng(3);
+    const exec::LeafValues leaves = exec::randomLeaves(g, rng);
+    const int leaf = g.value(x).producer;
+
+    fuzz::RebuildSpec spec;
+    spec.leafValues.emplace(leaf, tensor::Tensor::zeros(
+                                      tensor::DType::kF64,
+                                      tensor::Shape{{4, 5}}));
+    spec.repropagateTypes = true;
+    const auto rebuilt = fuzz::rebuildGraph(g, leaves, spec);
+    ASSERT_TRUE(rebuilt.has_value());
+    EXPECT_TRUE(graph::validate(rebuilt->graph).ok());
+    ASSERT_EQ(rebuilt->graph.values().size(), 3u);
+    for (const auto& value : rebuilt->graph.values())
+        EXPECT_EQ(value.type.toString(),
+                  tensor::TensorType::concrete(tensor::DType::kF64,
+                                               tensor::Shape{{4, 5}})
+                      .toString());
+    ASSERT_EQ(rebuilt->leaves.size(), 1u);
+    EXPECT_EQ(rebuilt->leaves.begin()->second.shape(),
+              (tensor::Shape{{4, 5}}));
+}
+
+TEST(Rebuild, UntypeableOverrideIsNullopt)
+{
+    // Sin has float combos only: an i32 input leaves it untypeable.
+    graph::Graph g;
+    const int x = baselines::addInput(g, tensor::DType::kF32,
+                                      tensor::Shape{{2, 3}});
+    baselines::appendUnary(g, ops::UnaryKind::kSin, x, tensor::DType::kF32);
+    Rng rng(3);
+    const exec::LeafValues leaves = exec::randomLeaves(g, rng);
+
+    fuzz::RebuildSpec spec;
+    spec.leafValues.emplace(g.value(x).producer,
+                            tensor::Tensor::zeros(tensor::DType::kI32,
+                                                  tensor::Shape{{2, 3}}));
+    spec.repropagateTypes = true;
+    EXPECT_FALSE(fuzz::rebuildGraph(g, leaves, spec).has_value());
 }
 
 TEST(Mutator, PoolLoadsEveryGoldenEntryAndKind)
@@ -106,7 +271,7 @@ TEST(Mutator, FiveHundredMutantsAllValidate)
     const auto pool = fuzz::MutationPool::fromCorpusDir(goldenDir());
     ASSERT_FALSE(pool.graphSeeds().empty());
     Rng rng(2023);
-    std::vector<fuzz::GraphSeedCase> frontier = pool.graphSeeds();
+    std::vector<fuzz::GraphRepro> frontier = pool.graphSeeds();
     size_t checked = 0;
     while (checked < 500) {
         for (auto& seed_case : frontier) {
@@ -167,16 +332,10 @@ TEST(Mutator, MutantReprosRoundTripByteIdentically)
             continue;
         ++graph_repros;
         Rng rng(31 + salt++);
-        fuzz::GraphSeedCase seed_case = {bug.graphRepro->graph,
-                                         bug.graphRepro->leaves};
+        fuzz::GraphRepro seed_case = *bug.graphRepro;
         for (int k = 0; k < 8; ++k) {
             seed_case = fuzz::mutateGraphCase(seed_case, rng);
-            auto repro = std::make_shared<fuzz::GraphRepro>();
-            repro->graph = seed_case.graph;
-            repro->leaves = seed_case.leaves;
-            fuzz::BugRecord mutant_bug = bug;
-            mutant_bug.graphRepro = std::move(repro);
-            const std::string rendered = corpus::renderRepro(mutant_bug);
+            const std::string rendered = renderAs(bug, seed_case);
             EXPECT_EQ(corpus::renderRepro(corpus::parseRepro(rendered)),
                       rendered)
                 << entry.file << " mutant " << k;
