@@ -24,11 +24,13 @@ run_sanitize() {
 }
 
 # libz3 is not TSan-instrumented and reports false lock errors, so this
-# build leaves z3 out. It runs only the fabric's tests: the full suite
-# on a z3-less build stalls in graph_pass_test (ROADMAP item 7(a)).
+# build leaves z3 out. It runs only the fabric's tests, plus
+# autodiff_test for its per-thread proxy-derivative setting
+# (GradSearch.ProxyDerivativeSettingIsPerThread): the full suite on a
+# z3-less build stalls in graph_pass_test (ROADMAP item 7(a)).
 run_tsan() {
     echo "== tsan: ThreadSanitizer over the campaign fabric =="
-    local tests=(parallel_campaign_test fabric_test obs_test)
+    local tests=(parallel_campaign_test fabric_test obs_test autodiff_test)
     cmake -B build-tsan -S . -DNNSMITH_WITH_Z3=OFF \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread"
@@ -82,7 +84,8 @@ echo "== identity probe: every axis of the merge contract =="
 # One minimizing, corpus-replaying, value-searching campaign across
 # {thread, process} x shards {1, 2, 4}, then the same matrix with
 # telemetry on (held to the telemetry-off reference), with batch 4
-# and the batched sweep on/off, and with corpus-guided mutation.
+# and the batch sweep (one export per batch) on/off, and with
+# corpus-guided mutation.
 # Exits nonzero unless every cell renders byte-identically
 # (fuzz::renderCampaignResult + report tree), each section found bugs,
 # wrote index.tsv and replayed its corpus, cases/sec at --batch 16 is

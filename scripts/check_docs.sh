@@ -137,7 +137,7 @@ if ! grep -q '^## Corpus-guided generation' DESIGN.md; then
 fi
 
 # Batched case execution ships documented: the --batch flag in README
-# and the lane-model/identity-contract section in DESIGN.md.
+# and the section in DESIGN.md that states what batching amortizes.
 if ! grep -q -- '--batch' README.md; then
     echo "check_docs: README.md does not document '--batch'"
     fail=1

@@ -1,6 +1,8 @@
 #include "corpus/corpus.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -153,23 +155,12 @@ parseIndexTsv(const std::string& text)
                              std::to_string(cols.size()));
         auto parse_size = [&](const std::string& field,
                               const char* what) -> size_t {
-            // Digits only: stoull quietly wraps "-1", so a sign (or
-            // anything else non-numeric) must be rejected up front.
-            bool digits = !field.empty();
-            for (const char c : field)
-                digits = digits && c >= '0' && c <= '9';
-            unsigned long long value = 0;
-            try {
-                if (digits)
-                    value = std::stoull(field);
-            } catch (const std::exception&) {
-                digits = false;
-            }
-            if (!digits)
+            const auto value = parseDecimal(field);
+            if (!value)
                 throw ParseError("index.tsv row " + std::to_string(row) +
                                  ": non-numeric " + what + " column '" +
                                  field + "'");
-            return static_cast<size_t>(value);
+            return static_cast<size_t>(*value);
         };
         CorpusEntry entry;
         entry.fingerprint = cols[0];
@@ -183,6 +174,22 @@ parseIndexTsv(const std::string& text)
         entries.push_back(std::move(entry));
     }
     return entries;
+}
+
+std::optional<uint64_t>
+parseDecimal(const std::string& token)
+{
+    if (token.empty())
+        return std::nullopt;
+    for (const char c : token) {
+        if (c < '0' || c > '9')
+            return std::nullopt;
+    }
+    errno = 0;
+    const unsigned long long value = std::strtoull(token.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        return std::nullopt;
+    return value;
 }
 
 std::vector<CorpusEntry>
@@ -212,8 +219,13 @@ writeCorpusFile(const std::string& path, const std::string& content)
     FILE* file = std::fopen(path.c_str(), "w");
     if (file == nullptr)
         fatal("corpus: cannot write " + path);
-    std::fwrite(content.data(), 1, content.size(), file);
-    std::fclose(file);
+    // A full disk shows as a short fwrite or, once buffered, a failing
+    // fclose; either would leave a silently truncated file.
+    const size_t written =
+        std::fwrite(content.data(), 1, content.size(), file);
+    const bool closed = std::fclose(file) == 0;
+    if (written != content.size() || !closed)
+        fatal("corpus: short write to " + path);
 }
 
 } // namespace nnsmith::corpus

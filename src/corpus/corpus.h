@@ -44,6 +44,7 @@
 #ifndef NNSMITH_CORPUS_CORPUS_H
 #define NNSMITH_CORPUS_CORPUS_H
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -117,10 +118,19 @@ std::vector<CorpusEntry> parseIndexTsv(const std::string& text);
  */
 std::vector<CorpusEntry> loadCorpusIndex(const std::string& dir);
 
+/**
+ * Strict base-10 unsigned integer over the whole of @p token: non-empty,
+ * digits only (no sign, blank or prefix — strtoull would quietly wrap
+ * "-1"), and within uint64_t. nullopt otherwise; each caller attaches
+ * its own error, or none.
+ */
+std::optional<uint64_t> parseDecimal(const std::string& token);
+
 /** Read a whole file; throws ParseError when unreadable. */
 std::string readCorpusFile(const std::string& path);
 
-/** Write @p content to @p path; fatal() when unwritable. Shared by
+/** Write @p content to @p path; fatal() when the file cannot be
+ *  opened or the write or close fails (e.g. a full disk). Shared by
  *  the report writer (reduce/report.cpp) and regressions.tsv. */
 void writeCorpusFile(const std::string& path, const std::string& content);
 

@@ -98,33 +98,8 @@ runCase(const graph::Graph& graph, const exec::LeafValues& leaves,
         const std::vector<Backend*>& backend_list,
         const CompareOptions& options)
 {
-    CaseResult result;
-    // RAII window: the trace is cleared again on every exit path, so a
-    // crashing export cannot leak its triggers into the next case.
-    DefectRegistry::TraceScope trace_scope;
-
-    // Reference (oracle) execution — a "free lunch" by-product of the
-    // gradient search (§4).
-    const auto reference = [&] {
-        obs::PhaseSpan span("oracle");
-        return exec::execute(graph, leaves);
-    }();
-    result.referenceValid = reference.numericallyValid();
-
-    // Export to OnnxLite; exporter bugs surface here.
-    onnx::OnnxModel model;
-    try {
-        model = onnx::exportGraph(graph);
-    } catch (const BackendError& error) {
-        result.exportOk = false;
-        result.exportCrashKind = error.kind();
-        result.triggeredDefects = trace_scope.trace();
-        return result;
-    }
-
-    judgeLane(model, leaves, reference, backend_list, options, result);
-    result.triggeredDefects = trace_scope.trace();
-    return result;
+    return std::move(
+        runCaseBatch(graph, {leaves}, backend_list, options).front());
 }
 
 std::vector<CaseResult>
@@ -135,18 +110,18 @@ runCaseBatch(const graph::Graph& graph,
 {
     std::vector<CaseResult> results(lanes.size());
 
-    // Batched reference execution: one topo walk for all lanes. The
-    // interpreter and kernels fire no defect triggers, so running the
-    // reference outside the per-lane trace windows below changes
-    // nothing about what each window records.
+    // Reference (oracle) execution — a "free lunch" by-product of the
+    // gradient search (§4). The interpreter fires no defect triggers,
+    // so running it outside the trace windows below changes nothing
+    // about what each window records.
     const auto references = [&] {
         obs::PhaseSpan span("oracle");
         return exec::executeBatched(graph, lanes);
     }();
 
-    // Export once — it depends only on the graph, so every sequential
-    // per-case run would produce this exact outcome and this exact
-    // (deduplicated) trigger prefix.
+    // Export to OnnxLite once; exporter bugs surface here. Export
+    // depends only on the graph, so this outcome and this
+    // (deduplicated) trigger prefix are common to every lane.
     std::vector<std::string> export_trace;
     onnx::OnnxModel model;
     bool export_ok = true;
@@ -175,7 +150,7 @@ runCaseBatch(const graph::Graph& graph,
         CaseResult& result = results[l];
         result.referenceValid = references[l].numericallyValid();
         // Fresh per-lane window: backend triggers of one lane cannot
-        // leak into the next, exactly like per-case TraceScopes.
+        // leak into the next.
         DefectRegistry::TraceScope lane_scope;
         judgeLane(model, lanes[l], references[l], backend_list, options,
                   result);

@@ -57,29 +57,29 @@ struct CaseResult {
 };
 
 /**
- * Run one differential test over @p backends. @p leaves must bind
- * every input and weight of @p graph (value-id keyed).
- */
-CaseResult runCase(const graph::Graph& graph,
-                   const exec::LeafValues& leaves,
-                   const std::vector<backends::Backend*>& backend_list,
-                   const CompareOptions& options = CompareOptions());
-
-/**
  * Run a batch of differential test cases sharing one graph: lane l is
- * the case (graph, lanes[l]). The reference runs through the batched
- * executor (one topo walk, SIMD sweeps) and the model is exported
- * once — export depends only on the graph, so its outcome and defect
- * triggers are common to every lane. Result l is identical to
- * `runCase(graph, lanes[l], ...)`: verdicts, crash kinds, and
- * triggeredDefects composed in the same first-appearance order the
- * sequential per-case trace window would record.
+ * the case (graph, lanes[l]), each with its own reference run. The
+ * model is exported once — export depends only on the graph, so its
+ * outcome and defect triggers are common to every lane. Lane l's
+ * triggeredDefects are the export triggers followed by the lane's
+ * backend triggers not already among them, the first-appearance order
+ * of one trace window around the whole case.
  */
 std::vector<CaseResult>
 runCaseBatch(const graph::Graph& graph,
              const std::vector<exec::LeafValues>& lanes,
              const std::vector<backends::Backend*>& backend_list,
              const CompareOptions& options = CompareOptions());
+
+/**
+ * Run one differential test over @p backends: the one-lane
+ * runCaseBatch. @p leaves must bind every input and weight of @p graph
+ * (value-id keyed).
+ */
+CaseResult runCase(const graph::Graph& graph,
+                   const exec::LeafValues& leaves,
+                   const std::vector<backends::Backend*>& backend_list,
+                   const CompareOptions& options = CompareOptions());
 
 /** The standard backend trio (OrtLite, TVMLite, TrtLite). */
 std::vector<std::unique_ptr<backends::Backend>> makeAllBackends();

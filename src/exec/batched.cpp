@@ -1,81 +1,14 @@
 #include "exec/batched.h"
 
-#include <map>
-
-#include "support/logging.h"
-
 namespace nnsmith::exec {
-
-using graph::NodeKind;
 
 std::vector<ExecResult>
 executeBatched(const Graph& graph, const std::vector<LeafValues>& lanes)
 {
-    NNSMITH_ASSERT(graph.isConcrete(), "execute() needs a concrete graph");
-    const size_t num_lanes = lanes.size();
-    std::vector<ExecResult> results(num_lanes);
-    std::map<int, BatchedTensor> values;
-    for (int node_id : graph.topoOrder()) {
-        const auto& node = graph.node(node_id);
-        if (node.kind == NodeKind::kInput || node.kind == NodeKind::kWeight) {
-            const int v = node.outputs[0];
-            BatchedTensor bt;
-            bt.lanes.reserve(num_lanes);
-            const auto& type = graph.value(v).type;
-            for (const LeafValues& leaves : lanes) {
-                auto it = leaves.find(v);
-                NNSMITH_ASSERT(it != leaves.end(),
-                               "missing leaf tensor for %", v);
-                NNSMITH_ASSERT(it->second.dtype() == type.dtype() &&
-                                   it->second.shape() ==
-                                       type.concreteShape(),
-                               "leaf tensor mismatch for %", v);
-                bt.lanes.push_back(it->second);
-            }
-            values.emplace(v, std::move(bt));
-            continue;
-        }
-        NNSMITH_ASSERT(node.kind == NodeKind::kOp,
-                       "unpromoted placeholder at execution");
-        std::vector<std::vector<Tensor>> lane_inputs(num_lanes);
-        for (size_t l = 0; l < num_lanes; ++l)
-            lane_inputs[l].reserve(node.inputs.size());
-        for (int v : node.inputs) {
-            const BatchedTensor& bt = values.at(v);
-            for (size_t l = 0; l < num_lanes; ++l)
-                lane_inputs[l].push_back(bt.lanes[l]);
-        }
-        auto lane_outputs = node.op->executeBatched(lane_inputs);
-        NNSMITH_ASSERT(lane_outputs.size() == num_lanes,
-                       node.op->name(), " produced wrong lane count");
-        for (size_t l = 0; l < num_lanes; ++l) {
-            NNSMITH_ASSERT(lane_outputs[l].size() == node.outputs.size(),
-                           node.op->name(), " produced wrong output count");
-        }
-        // Validity check in the sequential interpreter's order — per
-        // lane it walks output index ascending, so "first invalid
-        // node" is identical to the per-case run.
-        for (size_t i = 0; i < node.outputs.size(); ++i) {
-            BatchedTensor bt;
-            bt.lanes.reserve(num_lanes);
-            for (size_t l = 0; l < num_lanes; ++l) {
-                Tensor& out = lane_outputs[l][i];
-                if (results[l].firstInvalidNode == -1 &&
-                    (out.hasNaNOrInf() || out.poisoned()))
-                    results[l].firstInvalidNode = node_id;
-                bt.lanes.push_back(std::move(out));
-            }
-            values.emplace(node.outputs[i], std::move(bt));
-        }
-    }
-    for (auto& [v, bt] : values) {
-        for (size_t l = 0; l < num_lanes; ++l)
-            results[l].values.emplace(v, bt.lanes[l]);
-    }
-    for (int v : graph.outputValues()) {
-        for (size_t l = 0; l < num_lanes; ++l)
-            results[l].outputs.push_back(results[l].values.at(v));
-    }
+    std::vector<ExecResult> results;
+    results.reserve(lanes.size());
+    for (const LeafValues& leaves : lanes)
+        results.push_back(execute(graph, leaves));
     return results;
 }
 

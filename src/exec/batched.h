@@ -1,22 +1,18 @@
 /**
  * @file
  * Batched graph execution: one graph, B independent input sets
- * ("lanes"), one topological walk.
+ * ("lanes").
  *
- * A fuzz campaign repeatedly executes the *same* generated graph on
- * many input sets (value-search candidates, batched fuzz cases). The
- * sequential interpreter pays the topo walk, per-node op dispatch,
- * dtype dispatch and broadcast planning once per case; this layer pays
- * them once per *batch* and runs each kernel as B back-to-back sweeps
- * (`OpBase::executeBatched`), which is where the SIMD fast paths in
- * tensor/kernels.h spend their time.
- *
- * Identity contract: lane l of `executeBatched(graph, lanes)` is
- * bit-identical — values, poison flags, and `firstInvalidNode` — to
- * `execute(graph, lanes[l])`. Lanes never exchange data; per-lane
- * poison/NaN tracking follows the same node-then-output-index order as
- * the sequential interpreter. Campaign results merged from batched
- * iterations are therefore byte-identical to sequential ones.
+ * A batched fuzz case runs the *same* generated graph on many input
+ * sets. What batching saves is generation, value search and export,
+ * which the caller pays once per batch. The kernels sweep every lane's
+ * tensors either way, so a batched walk would save only per-node
+ * dispatch and planning; each lane simply runs the sequential
+ * interpreter. Lane l of
+ * `executeBatched(graph, lanes)` is therefore `execute(graph,
+ * lanes[l])` — values, poison flags and `firstInvalidNode` — by
+ * construction, and campaign results merged from batched iterations
+ * are byte-identical to sequential ones.
  */
 #ifndef NNSMITH_EXEC_BATCHED_H
 #define NNSMITH_EXEC_BATCHED_H
@@ -25,23 +21,7 @@
 
 namespace nnsmith::exec {
 
-/**
- * One value's tensors across all lanes of a batch (lane l's tensor is
- * `lanes[l]`). Tensors are copy-on-write, so a BatchedTensor is cheap
- * to copy and to slice back into per-lane ExecResults.
- */
-struct BatchedTensor {
-    std::vector<Tensor> lanes;
-
-    size_t numLanes() const { return lanes.size(); }
-};
-
-/**
- * Execute @p graph once per batch: one topological walk, each node
- * evaluated for all lanes via `OpBase::executeBatched`. Returns one
- * ExecResult per lane, each bit-identical to
- * `execute(graph, lanes[l])`.
- */
+/** `execute(graph, lanes[l])` for every lane, in lane order. */
 std::vector<ExecResult> executeBatched(const Graph& graph,
                                        const std::vector<LeafValues>& lanes);
 

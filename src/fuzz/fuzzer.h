@@ -186,11 +186,11 @@ class NNSmithFuzzer final : public Fuzzer {
          */
         size_t batch = 1;
         /**
-         * When batch > 1, run lanes through the batched sweep executor
-         * (exec/batched.h: one topo walk, SIMD kernel sweeps) instead
-         * of per-lane sequential cases. Outcomes are bit-identical
-         * either way (bench_identity gates this); off exists only as the
-         * identity-check baseline.
+         * When batch > 1, judge all lanes with one export of the graph
+         * (difftest::runCaseBatch) instead of one export per lane.
+         * Every lane runs the same per-case reference interpreter
+         * either way, and outcomes are bit-identical (bench_identity
+         * gates this); off exists only as the identity-check baseline.
          */
         bool batchSweep = true;
     };
@@ -222,9 +222,9 @@ executeGraphCase(const graph::Graph& graph, const exec::LeafValues& leaves,
  * Batched variant: one graph, `lanes.size()` independent input sets in
  * one outcome. Bug records, repros and virtual cost are accounted per
  * lane exactly as `lanes.size()` sequential executeGraphCase calls
- * would produce them (in lane order). @p sweep picks the batched
- * reference executor (difftest::runCaseBatch) over per-lane runCase;
- * the outcome is bit-identical either way.
+ * would produce them (in lane order). @p sweep exports the graph once
+ * for all lanes (difftest::runCaseBatch) instead of once per lane
+ * (per-lane runCase); the outcome is bit-identical either way.
  */
 IterationOutcome
 executeGraphCaseBatch(const graph::Graph& graph,

@@ -1,8 +1,6 @@
 #include "fuzz/wire.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <limits>
 
 #include "corpus/corpus.h"
@@ -31,19 +29,10 @@ fail(const std::string& what)
 uint64_t
 parseCount(const std::string& token, const char* what)
 {
-    if (token.empty())
-        fail(std::string("empty ") + what);
-    for (const char c : token) {
-        if (c < '0' || c > '9')
-            fail(std::string("malformed ") + what + " '" + token + "'");
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value =
-        std::strtoull(token.c_str(), &end, 10);
-    if (errno != 0 || end != token.c_str() + token.size())
-        fail(std::string("out-of-range ") + what + " '" + token + "'");
-    return value;
+    const auto value = corpus::parseDecimal(token);
+    if (!value)
+        fail(std::string("malformed ") + what + " '" + token + "'");
+    return *value;
 }
 
 /** Cursor over the serialized block: lines + raw byte spans. */
@@ -327,32 +316,14 @@ decodeRecords(const std::string& text)
 
 namespace {
 
-/** Lenient unsigned parse for telemetry fields: telemetry is advisory,
- *  so malformed numbers surface as nullopt, never as a throw. */
-std::optional<uint64_t>
-tryParseU64(const std::string& token)
-{
-    if (token.empty() || token.size() > 20)
-        return std::nullopt;
-    for (const char c : token) {
-        if (c < '0' || c > '9')
-            return std::nullopt;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value =
-        std::strtoull(token.c_str(), &end, 10);
-    if (errno != 0 || end != token.c_str() + token.size())
-        return std::nullopt;
-    return value;
-}
-
 std::optional<int64_t>
 tryParseI64(const std::string& token)
 {
     const bool negative = !token.empty() && token[0] == '-';
+    // Telemetry is advisory: a malformed number is nullopt, never a
+    // throw.
     const auto magnitude =
-        tryParseU64(negative ? token.substr(1) : token);
+        corpus::parseDecimal(negative ? token.substr(1) : token);
     if (!magnitude)
         return std::nullopt;
     if (negative) {
@@ -431,11 +402,11 @@ decodeTelemetry(const std::string& text)
         if (tokens[0] == "heartbeat") {
             if (tokens.size() != 6)
                 return std::nullopt;
-            const auto shard = tryParseU64(tokens[1]);
-            const auto round = tryParseU64(tokens[2]);
-            const auto iters = tryParseU64(tokens[3]);
-            const auto bugs = tryParseU64(tokens[4]);
-            const auto hits = tryParseU64(tokens[5]);
+            const auto shard = corpus::parseDecimal(tokens[1]);
+            const auto round = corpus::parseDecimal(tokens[2]);
+            const auto iters = corpus::parseDecimal(tokens[3]);
+            const auto bugs = corpus::parseDecimal(tokens[4]);
+            const auto hits = corpus::parseDecimal(tokens[5]);
             if (!shard || !round || !iters || !bugs || !hits ||
                 *shard > static_cast<uint64_t>(
                              std::numeric_limits<int>::max()))
@@ -449,7 +420,7 @@ decodeTelemetry(const std::string& text)
         } else if (tokens[0] == "counter") {
             if (tokens.size() < 3)
                 return std::nullopt;
-            const auto value = tryParseU64(tokens[1]);
+            const auto value = corpus::parseDecimal(tokens[1]);
             if (!value)
                 return std::nullopt;
             const auto nameStart =
@@ -467,8 +438,8 @@ decodeTelemetry(const std::string& text)
         } else if (tokens[0] == "hist") {
             if (tokens.size() < 3 + obs::kHistBuckets + 1)
                 return std::nullopt;
-            const auto count = tryParseU64(tokens[1]);
-            const auto sum = tryParseU64(tokens[2]);
+            const auto count = corpus::parseDecimal(tokens[1]);
+            const auto sum = corpus::parseDecimal(tokens[2]);
             if (!count || !sum)
                 return std::nullopt;
             obs::HistogramData data;
@@ -476,7 +447,7 @@ decodeTelemetry(const std::string& text)
             data.sum = *sum;
             size_t consumed = 5 + tokens[1].size() + tokens[2].size() + 2;
             for (size_t i = 0; i < obs::kHistBuckets; ++i) {
-                const auto bucket = tryParseU64(tokens[3 + i]);
+                const auto bucket = corpus::parseDecimal(tokens[3 + i]);
                 if (!bucket)
                     return std::nullopt;
                 data.buckets[i] = *bucket;

@@ -164,151 +164,108 @@ BinaryOp::clone() const
 std::vector<Tensor>
 BinaryOp::execute(const std::vector<Tensor>& inputs) const
 {
-    // Single code path with the batched kernel: a 1-lane batch is the
-    // sequential case, which makes the lane-identity contract hold by
-    // construction.
-    return std::move(
-        executeBatched(std::vector<std::vector<Tensor>>{inputs}).front());
-}
-
-std::vector<std::vector<Tensor>>
-BinaryOp::executeBatched(
-    const std::vector<std::vector<Tensor>>& lane_inputs) const
-{
-    std::vector<const Tensor*> as;
-    std::vector<const Tensor*> bs;
-    as.reserve(lane_inputs.size());
-    bs.reserve(lane_inputs.size());
-    for (const auto& inputs : lane_inputs) {
-        as.push_back(&inputs[0]);
-        bs.push_back(&inputs[1]);
-    }
-    // Dispatch the dtype once per *batch* (tensor/kernels.h), not twice
+    const Tensor& a = inputs[0];
+    const Tensor& b = inputs[1];
+    // Dispatch the dtype once per tensor (tensor/kernels.h), not twice
     // per element. Integer semantics: native two's-complement wrap for
     // Add/Sub/Mul, C++ truncating division for Div/Mod, and
     // div/mod-by-zero yields 0 with the output tensor poisoned so the
     // interpreter records it in ExecResult.firstInvalidNode.
-    std::vector<Tensor> outs;
-    if (isComparison(kind_)) {
-        switch (kind_) {
-          case BinaryKind::kEqual:
-            outs = tensor::applyCompareBatched(
-                as, bs, [](auto x, auto y) { return x == y; });
-            break;
-          case BinaryKind::kGreater:
-            outs = tensor::applyCompareBatched(
-                as, bs, [](auto x, auto y) { return x > y; });
-            break;
-          default:
-            outs = tensor::applyCompareBatched(
-                as, bs, [](auto x, auto y) { return x < y; });
-            break;
-        }
-    } else if (isLogical(kind_)) {
-        switch (kind_) {
-          case BinaryKind::kAnd:
-            outs = tensor::applyBinaryBatched(as, bs, [](auto x, auto y) {
-                return x != 0 && y != 0 ? 1 : 0;
-            });
-            break;
-          case BinaryKind::kOr:
-            outs = tensor::applyBinaryBatched(as, bs, [](auto x, auto y) {
-                return x != 0 || y != 0 ? 1 : 0;
-            });
-            break;
-          default:
-            outs = tensor::applyBinaryBatched(as, bs, [](auto x, auto y) {
-                return (x != 0) != (y != 0) ? 1 : 0;
-            });
-            break;
-        }
-    } else {
-        // Div/Mod write the shared poison flag; the per-lane epilogue
-        // harvests and resets it so one lane's division-by-zero cannot
-        // leak poison into later lanes.
-        bool poison = false;
-        const auto lane_done = [&poison](size_t, Tensor& out) {
-            if (poison) {
-                out.markPoisoned();
-                poison = false;
-            }
-        };
-        switch (kind_) {
-          case BinaryKind::kAdd:
-            outs = tensor::applyBinaryBatched(as, bs, [](auto x, auto y) {
-                if constexpr (std::is_integral_v<decltype(x)>)
-                    return tensor::wrapAdd(x, y);
-                else
-                    return x + y;
-            });
-            break;
-          case BinaryKind::kSub:
-            outs = tensor::applyBinaryBatched(as, bs, [](auto x, auto y) {
-                if constexpr (std::is_integral_v<decltype(x)>)
-                    return tensor::wrapSub(x, y);
-                else
-                    return x - y;
-            });
-            break;
-          case BinaryKind::kMul:
-            outs = tensor::applyBinaryBatched(as, bs, [](auto x, auto y) {
-                if constexpr (std::is_integral_v<decltype(x)>)
-                    return tensor::wrapMul(x, y);
-                else
-                    return x * y;
-            });
-            break;
-          case BinaryKind::kDiv:
-            outs = tensor::applyBinaryBatched(
-                as, bs,
-                [&poison](auto x, auto y) {
-                    if constexpr (std::is_integral_v<decltype(x)>)
-                        return tensor::wrapDiv(x, y, poison);
-                    else
-                        return x / y;
-                },
-                lane_done);
-            break;
-          case BinaryKind::kMod:
-            outs = tensor::applyBinaryBatched(
-                as, bs,
-                [&poison](auto x, auto y) {
-                    using T = decltype(x);
-                    if constexpr (std::is_integral_v<T>)
-                        return tensor::wrapMod(x, y, poison);
-                    else
-                        return static_cast<T>(
-                            std::fmod(static_cast<double>(x),
-                                      static_cast<double>(y)));
-                },
-                lane_done);
-            break;
-          case BinaryKind::kPow:
-            outs = tensor::applyBinaryBatched(as, bs, [](auto x, auto y) {
-                using T = decltype(x);
-                const double r = std::pow(static_cast<double>(x),
-                                          static_cast<double>(y));
-                if constexpr (std::is_integral_v<T>)
-                    return tensor::saturateCast<T>(std::trunc(r));
-                else
-                    return static_cast<T>(r);
-            });
-            break;
-          case BinaryKind::kMax:
-            outs = tensor::applyBinaryBatched(
-                as, bs, [](auto x, auto y) { return x < y ? y : x; });
-            break;
-          default: // kMin
-            outs = tensor::applyBinaryBatched(
-                as, bs, [](auto x, auto y) { return y < x ? y : x; });
-            break;
-        }
+    bool poison = false;
+    Tensor out;
+    switch (kind_) {
+      case BinaryKind::kAdd:
+        out = tensor::applyBinary(a, b, [](auto x, auto y) {
+            if constexpr (std::is_integral_v<decltype(x)>)
+                return tensor::wrapAdd(x, y);
+            else
+                return x + y;
+        });
+        break;
+      case BinaryKind::kSub:
+        out = tensor::applyBinary(a, b, [](auto x, auto y) {
+            if constexpr (std::is_integral_v<decltype(x)>)
+                return tensor::wrapSub(x, y);
+            else
+                return x - y;
+        });
+        break;
+      case BinaryKind::kMul:
+        out = tensor::applyBinary(a, b, [](auto x, auto y) {
+            if constexpr (std::is_integral_v<decltype(x)>)
+                return tensor::wrapMul(x, y);
+            else
+                return x * y;
+        });
+        break;
+      case BinaryKind::kDiv:
+        out = tensor::applyBinary(a, b, [&poison](auto x, auto y) {
+            if constexpr (std::is_integral_v<decltype(x)>)
+                return tensor::wrapDiv(x, y, poison);
+            else
+                return x / y;
+        });
+        break;
+      case BinaryKind::kMod:
+        out = tensor::applyBinary(a, b, [&poison](auto x, auto y) {
+            using T = decltype(x);
+            if constexpr (std::is_integral_v<T>)
+                return tensor::wrapMod(x, y, poison);
+            else
+                return static_cast<T>(std::fmod(static_cast<double>(x),
+                                                static_cast<double>(y)));
+        });
+        break;
+      case BinaryKind::kPow:
+        out = tensor::applyBinary(a, b, [](auto x, auto y) {
+            using T = decltype(x);
+            const double r = std::pow(static_cast<double>(x),
+                                      static_cast<double>(y));
+            if constexpr (std::is_integral_v<T>)
+                return tensor::saturateCast<T>(std::trunc(r));
+            else
+                return static_cast<T>(r);
+        });
+        break;
+      case BinaryKind::kMax:
+        out = tensor::applyBinary(
+            a, b, [](auto x, auto y) { return x < y ? y : x; });
+        break;
+      case BinaryKind::kMin:
+        out = tensor::applyBinary(
+            a, b, [](auto x, auto y) { return y < x ? y : x; });
+        break;
+      case BinaryKind::kEqual:
+        out = tensor::applyCompare(a, b,
+                                   [](auto x, auto y) { return x == y; });
+        break;
+      case BinaryKind::kGreater:
+        out = tensor::applyCompare(a, b,
+                                   [](auto x, auto y) { return x > y; });
+        break;
+      case BinaryKind::kLess:
+        out = tensor::applyCompare(a, b,
+                                   [](auto x, auto y) { return x < y; });
+        break;
+      case BinaryKind::kAnd:
+        out = tensor::applyBinary(a, b, [](auto x, auto y) {
+            return x != 0 && y != 0 ? 1 : 0;
+        });
+        break;
+      case BinaryKind::kOr:
+        out = tensor::applyBinary(a, b, [](auto x, auto y) {
+            return x != 0 || y != 0 ? 1 : 0;
+        });
+        break;
+      case BinaryKind::kXor:
+        out = tensor::applyBinary(a, b, [](auto x, auto y) {
+            return (x != 0) != (y != 0) ? 1 : 0;
+        });
+        break;
     }
-    std::vector<std::vector<Tensor>> result;
-    result.reserve(outs.size());
-    for (auto& out : outs)
-        result.push_back({std::move(out)});
-    return result;
+    if (poison)
+        out.markPoisoned();
+    return {std::move(out)};
 }
 
 std::vector<Tensor>

@@ -167,29 +167,14 @@ UnaryOp::clone() const
 std::vector<Tensor>
 UnaryOp::execute(const std::vector<Tensor>& inputs) const
 {
-    // Single code path with the batched kernel: a 1-lane batch is the
-    // sequential case, which makes the lane-identity contract hold by
-    // construction.
-    return std::move(
-        executeBatched(std::vector<std::vector<Tensor>>{inputs}).front());
-}
-
-std::vector<std::vector<Tensor>>
-UnaryOp::executeBatched(
-    const std::vector<std::vector<Tensor>>& lane_inputs) const
-{
-    std::vector<const Tensor*> ins;
-    ins.reserve(lane_inputs.size());
-    for (const auto& inputs : lane_inputs)
-        ins.push_back(&inputs[0]);
+    const Tensor& in = inputs[0];
     const UnaryKind kind = kind_;
     // Abs/Neg also run on integer tensors: use native integer
     // arithmetic (wrapping at INT_MIN) so i64 values above 2^53 are
     // not corrupted by a double round-trip.
-    std::vector<Tensor> outs;
     switch (kind) {
       case UnaryKind::kAbs:
-        outs = tensor::applyUnaryBatched(ins, [](auto x) {
+        return {tensor::applyUnary(in, [](auto x) {
             using T = decltype(x);
             if constexpr (std::is_floating_point_v<T>)
                 return std::abs(x);
@@ -197,35 +182,26 @@ UnaryOp::executeBatched(
                 return x < 0 ? tensor::wrapSub(T{0}, x) : x;
             else
                 return x;
-        });
-        break;
+        })};
       case UnaryKind::kNeg:
-        outs = tensor::applyUnaryBatched(ins, [](auto x) {
+        return {tensor::applyUnary(in, [](auto x) {
             using T = decltype(x);
             if constexpr (std::is_floating_point_v<T>)
                 return static_cast<T>(-x);
             else
                 return tensor::wrapSub(T{0}, x);
-        });
-        break;
+        })};
       case UnaryKind::kNot:
-        outs = tensor::applyUnaryBatched(
-            ins, [](auto x) { return x != 0 ? 0 : 1; });
-        break;
+        return {tensor::applyUnary(in,
+                                   [](auto x) { return x != 0 ? 0 : 1; })};
       default:
         // Float math stays in double precision (the historical
         // semantics); only the store narrows to the element type.
-        outs = tensor::applyUnaryBatched(ins, [kind](auto x) {
+        return {tensor::applyUnary(in, [kind](auto x) {
             return static_cast<decltype(x)>(
                 applyUnary(kind, static_cast<double>(x)));
-        });
-        break;
+        })};
     }
-    std::vector<std::vector<Tensor>> result;
-    result.reserve(outs.size());
-    for (auto& out : outs)
-        result.push_back({std::move(out)});
-    return result;
 }
 
 std::vector<Tensor>
@@ -458,34 +434,16 @@ ClipOp::clone() const
 std::vector<Tensor>
 ClipOp::execute(const std::vector<Tensor>& inputs) const
 {
-    return std::move(
-        executeBatched(std::vector<std::vector<Tensor>>{inputs}).front());
-}
-
-std::vector<std::vector<Tensor>>
-ClipOp::executeBatched(
-    const std::vector<std::vector<Tensor>>& lane_inputs) const
-{
     const int64_t lo = attrValue("lo");
     const int64_t hi = attrValue("hi");
-    std::vector<const Tensor*> ins;
-    ins.reserve(lane_inputs.size());
-    for (const auto& inputs : lane_inputs)
-        ins.push_back(&inputs[0]);
     // Clip bounds are small integer attributes, exactly representable
     // in every element type — clamp natively per dtype.
-    std::vector<Tensor> outs =
-        tensor::applyUnaryBatched(ins, [lo, hi](auto x) {
-            using T = decltype(x);
-            const T tlo = static_cast<T>(lo);
-            const T thi = static_cast<T>(hi);
-            return x < tlo ? tlo : (x > thi ? thi : x);
-        });
-    std::vector<std::vector<Tensor>> result;
-    result.reserve(outs.size());
-    for (auto& out : outs)
-        result.push_back({std::move(out)});
-    return result;
+    return {tensor::applyUnary(inputs[0], [lo, hi](auto x) {
+        using T = decltype(x);
+        const T tlo = static_cast<T>(lo);
+        const T thi = static_cast<T>(hi);
+        return x < tlo ? tlo : (x > thi ? thi : x);
+    })};
 }
 
 std::vector<Tensor>

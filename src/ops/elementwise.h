@@ -63,9 +63,6 @@ class UnaryOp final : public OpBase {
 
     std::vector<Tensor>
     execute(const std::vector<Tensor>& inputs) const override;
-    std::vector<std::vector<Tensor>>
-    executeBatched(const std::vector<std::vector<Tensor>>& lane_inputs)
-        const override;
     std::vector<Tensor>
     backward(const std::vector<Tensor>& inputs,
              const std::vector<Tensor>& outputs,
@@ -128,9 +125,6 @@ class ClipOp final : public OpBase {
 
     std::vector<Tensor>
     execute(const std::vector<Tensor>& inputs) const override;
-    std::vector<std::vector<Tensor>>
-    executeBatched(const std::vector<std::vector<Tensor>>& lane_inputs)
-        const override;
     std::vector<Tensor>
     backward(const std::vector<Tensor>& inputs,
              const std::vector<Tensor>& outputs,

@@ -56,17 +56,6 @@ OpBase::backward(const std::vector<Tensor>&, const std::vector<Tensor>&,
     return {}; // no gradient by default
 }
 
-std::vector<std::vector<Tensor>>
-OpBase::executeBatched(
-    const std::vector<std::vector<Tensor>>& lane_inputs) const
-{
-    std::vector<std::vector<Tensor>> outs;
-    outs.reserve(lane_inputs.size());
-    for (const auto& inputs : lane_inputs)
-        outs.push_back(execute(inputs));
-    return outs;
-}
-
 namespace {
 // Per thread: every autodiff::search sets and reads it on its own
 // thread, so concurrent campaign workers cannot see each other's.

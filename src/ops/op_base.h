@@ -112,25 +112,12 @@ class OpBase {
 
     /**
      * Reference kernel. Requires a concretized op and concrete inputs
-     * matching the chosen dtype combo.
+     * matching the chosen dtype combo. This is the only execution
+     * entry point: batched execution (exec/batched.h) calls it once
+     * per lane, so there is no per-batch kernel to keep in step.
      */
     virtual std::vector<Tensor>
     execute(const std::vector<Tensor>& inputs) const = 0;
-
-    /**
-     * Batched reference kernel: `lane_inputs[l]` is one independent
-     * input set for the same concretized node; returns one output
-     * vector per lane, in lane order.
-     *
-     * Contract: lane l's outputs (values AND poison flags) must be
-     * bit-identical to `execute(lane_inputs[l])` — the batched
-     * executor relies on this to keep merged campaign results
-     * byte-identical to sequential runs. The default simply loops
-     * execute(); hot elementwise/compare/reduce ops override it to do
-     * dtype dispatch and broadcast planning once and sweep each lane.
-     */
-    virtual std::vector<std::vector<Tensor>>
-    executeBatched(const std::vector<std::vector<Tensor>>& lane_inputs) const;
 
     /**
      * Reverse-mode gradient: given inputs, the forward outputs and the

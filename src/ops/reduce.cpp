@@ -136,21 +136,6 @@ ReduceOp::clone() const
 std::vector<Tensor>
 ReduceOp::execute(const std::vector<Tensor>& inputs) const
 {
-    // Single code path with the batched kernel: a 1-lane batch is the
-    // sequential case, which makes the lane-identity contract hold by
-    // construction.
-    return std::move(
-        executeBatched(std::vector<std::vector<Tensor>>{inputs}).front());
-}
-
-std::vector<std::vector<Tensor>>
-ReduceOp::executeBatched(
-    const std::vector<std::vector<Tensor>>& lane_inputs) const
-{
-    std::vector<const Tensor*> ins;
-    ins.reserve(lane_inputs.size());
-    for (const auto& inputs : lane_inputs)
-        ins.push_back(&inputs[0]);
     // Accumulation rule: float reduces accumulate in double (the
     // historical semantics); integer reduces accumulate natively with
     // two's-complement wrap, so i64 sums/products beyond 2^53 are
@@ -203,13 +188,8 @@ ReduceOp::executeBatched(
             return acc; // Mean is float-only by dtypeCombos()
         }
     };
-    std::vector<Tensor> outs = tensor::applyReduceBatched(
-        ins, axis(), keepDims(), init, combine, finalize);
-    std::vector<std::vector<Tensor>> result;
-    result.reserve(outs.size());
-    for (auto& out : outs)
-        result.push_back({std::move(out)});
-    return result;
+    return {tensor::applyReduce(inputs[0], axis(), keepDims(), init,
+                                combine, finalize)};
 }
 
 std::vector<Tensor>

@@ -46,9 +46,6 @@ class ReduceOp final : public OpBase {
 
     std::vector<Tensor>
     execute(const std::vector<Tensor>& inputs) const override;
-    std::vector<std::vector<Tensor>>
-    executeBatched(const std::vector<std::vector<Tensor>>& lane_inputs)
-        const override;
     std::vector<Tensor>
     backward(const std::vector<Tensor>& inputs,
              const std::vector<Tensor>& outputs,

@@ -380,32 +380,6 @@ applyUnary(const Tensor& in, Fn&& fn)
 }
 
 /**
- * Batched applyUnary: one dtype dispatch for all lanes, then the sweep
- * per lane. Lane l's output is bit-identical to `applyUnary(*ins[l])`.
- */
-template <typename Fn>
-std::vector<Tensor>
-applyUnaryBatched(const std::vector<const Tensor*>& ins, Fn&& fn)
-{
-    std::vector<Tensor> outs;
-    outs.reserve(ins.size());
-    if (ins.empty())
-        return outs;
-    dispatchDType(ins[0]->dtype(), [&](auto tag) {
-        using Tag = decltype(tag);
-        for (const Tensor* in : ins) {
-            NNSMITH_ASSERT(in->dtype() == ins[0]->dtype(),
-                           "applyUnaryBatched lane dtype mismatch");
-            Tensor out = Tensor::uninitialized(in->dtype(), in->shape());
-            detail::unarySweep(in->data<Tag>(), out.data<Tag>(), in->numel(),
-                               fn);
-            outs.push_back(std::move(out));
-        }
-    });
-    return outs;
-}
-
-/**
  * Broadcasting elementwise combine with out dtype == lhs dtype:
  * `out[i] = fn(a[ia(i)], b[ib(i)])`. Inputs must share a dtype.
  */
@@ -434,66 +408,6 @@ applyBinary(const Tensor& a, const Tensor& b, Fn&& fn)
             detail::binarySweepBroadcast(*runner, pa, pb, dst, fn);
         return out;
     });
-}
-
-/**
- * Batched applyBinary: shapes, indexers, the run plan and the dtype
- * dispatch are computed once (lanes share shape/dtype by construction —
- * same graph node), then each lane runs the same sweep.
- * `lane_done(l, out)` fires after lane l's sweep, before the next
- * lane's — the hook the Div/Mod caller uses to harvest and reset its
- * captured poison flag so lanes stay independent.
- */
-template <typename Fn, typename LaneFn>
-std::vector<Tensor>
-applyBinaryBatched(const std::vector<const Tensor*>& as,
-                   const std::vector<const Tensor*>& bs, Fn&& fn,
-                   LaneFn&& lane_done)
-{
-    NNSMITH_ASSERT(as.size() == bs.size(), "applyBinaryBatched lane count");
-    std::vector<Tensor> outs;
-    outs.reserve(as.size());
-    if (as.empty())
-        return outs;
-    NNSMITH_ASSERT(as[0]->dtype() == bs[0]->dtype(),
-                   "applyBinary dtype mismatch");
-    const Shape out_shape = broadcastShapes(as[0]->shape(), bs[0]->shape());
-    const BroadcastIndexer ia(as[0]->shape(), out_shape);
-    const BroadcastIndexer ib(bs[0]->shape(), out_shape);
-    const bool identity = ia.isIdentity() && ib.isIdentity();
-    std::optional<BroadcastRunner> runner;
-    if (!identity)
-        runner.emplace(out_shape,
-                       std::vector<const BroadcastIndexer*>{&ia, &ib});
-    dispatchDType(as[0]->dtype(), [&](auto tag) {
-        using Tag = decltype(tag);
-        for (size_t l = 0; l < as.size(); ++l) {
-            NNSMITH_ASSERT(as[l]->shape() == as[0]->shape() &&
-                               bs[l]->shape() == bs[0]->shape() &&
-                               as[l]->dtype() == as[0]->dtype() &&
-                               bs[l]->dtype() == bs[0]->dtype(),
-                           "applyBinaryBatched lane shape/dtype mismatch");
-            Tensor out = Tensor::uninitialized(as[0]->dtype(), out_shape);
-            const auto* pa = as[l]->data<Tag>();
-            const auto* pb = bs[l]->data<Tag>();
-            auto* dst = out.data<Tag>();
-            if (identity)
-                detail::binarySweepIdentity(pa, pb, dst, out.numel(), fn);
-            else
-                detail::binarySweepBroadcast(*runner, pa, pb, dst, fn);
-            lane_done(l, out);
-            outs.push_back(std::move(out));
-        }
-    });
-    return outs;
-}
-
-template <typename Fn>
-std::vector<Tensor>
-applyBinaryBatched(const std::vector<const Tensor*>& as,
-                   const std::vector<const Tensor*>& bs, Fn&& fn)
-{
-    return applyBinaryBatched(as, bs, fn, [](size_t, Tensor&) {});
 }
 
 /**
@@ -528,52 +442,6 @@ applyCompare(const Tensor& a, const Tensor& b, Fn&& fn)
             detail::binarySweepBroadcast(*runner, pa, pb, dst, cfn);
         return out;
     });
-}
-
-/** Batched applyCompare (see applyBinaryBatched for the lane contract). */
-template <typename Fn>
-std::vector<Tensor>
-applyCompareBatched(const std::vector<const Tensor*>& as,
-                    const std::vector<const Tensor*>& bs, Fn&& fn)
-{
-    NNSMITH_ASSERT(as.size() == bs.size(), "applyCompareBatched lane count");
-    std::vector<Tensor> outs;
-    outs.reserve(as.size());
-    if (as.empty())
-        return outs;
-    NNSMITH_ASSERT(as[0]->dtype() == bs[0]->dtype(),
-                   "applyCompare dtype mismatch");
-    const Shape out_shape = broadcastShapes(as[0]->shape(), bs[0]->shape());
-    const BroadcastIndexer ia(as[0]->shape(), out_shape);
-    const BroadcastIndexer ib(bs[0]->shape(), out_shape);
-    const bool identity = ia.isIdentity() && ib.isIdentity();
-    std::optional<BroadcastRunner> runner;
-    if (!identity)
-        runner.emplace(out_shape,
-                       std::vector<const BroadcastIndexer*>{&ia, &ib});
-    dispatchDType(as[0]->dtype(), [&](auto tag) {
-        using Tag = decltype(tag);
-        const auto cfn = [&fn](auto x, auto y) -> uint8_t {
-            return fn(x, y) ? 1 : 0;
-        };
-        for (size_t l = 0; l < as.size(); ++l) {
-            NNSMITH_ASSERT(as[l]->shape() == as[0]->shape() &&
-                               bs[l]->shape() == bs[0]->shape() &&
-                               as[l]->dtype() == as[0]->dtype() &&
-                               bs[l]->dtype() == bs[0]->dtype(),
-                           "applyCompareBatched lane shape/dtype mismatch");
-            Tensor out = Tensor::uninitialized(DType::kBool, out_shape);
-            const auto* pa = as[l]->data<Tag>();
-            const auto* pb = bs[l]->data<Tag>();
-            auto* dst = out.data<bool>();
-            if (identity)
-                detail::binarySweepIdentity(pa, pb, dst, out.numel(), cfn);
-            else
-                detail::binarySweepBroadcast(*runner, pa, pb, dst, cfn);
-            outs.push_back(std::move(out));
-        }
-    });
-    return outs;
 }
 
 /**
@@ -678,34 +546,6 @@ applyReduce(const Tensor& in, int axis, bool keepdims, InitFn&& init,
                             d.axisDim, d.inner, init, combine, finalize);
         return out;
     });
-}
-
-/** Batched applyReduce: one plan + dispatch, one sweep per lane. */
-template <typename InitFn, typename CombineFn, typename FinalFn>
-std::vector<Tensor>
-applyReduceBatched(const std::vector<const Tensor*>& ins, int axis,
-                   bool keepdims, InitFn&& init, CombineFn&& combine,
-                   FinalFn&& finalize)
-{
-    std::vector<Tensor> outs;
-    outs.reserve(ins.size());
-    if (ins.empty())
-        return outs;
-    const detail::ReduceDims d = detail::reduceDims(ins[0]->shape(), axis,
-                                                    keepdims);
-    dispatchDType(ins[0]->dtype(), [&](auto tag) {
-        using Tag = decltype(tag);
-        for (const Tensor* in : ins) {
-            NNSMITH_ASSERT(in->shape() == ins[0]->shape() &&
-                               in->dtype() == ins[0]->dtype(),
-                           "applyReduceBatched lane shape/dtype mismatch");
-            Tensor out = Tensor::uninitialized(in->dtype(), d.outShape);
-            detail::reduceSweep(in->data<Tag>(), out.data<Tag>(), d.outer,
-                                d.axisDim, d.inner, init, combine, finalize);
-            outs.push_back(std::move(out));
-        }
-    });
-    return outs;
 }
 
 /**

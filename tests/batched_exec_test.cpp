@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 
@@ -143,8 +144,7 @@ TEST(BatchedExec, PoisonIsTrackedPerLane)
     appendBinary(graph, BinaryKind::kDiv, a, b);
 
     // Lane 1 divides by zero (poison); lanes 0 and 2 are clean. The
-    // poison must land in lane 1's result only — a shared flag across
-    // the batch sweep would contaminate its neighbors.
+    // poison must land in lane 1's result only.
     std::vector<exec::LeafValues> lanes(3);
     lanes[0].emplace(a, Tensor::fromVector<int32_t>({8, 9}));
     lanes[0].emplace(b, Tensor::fromVector<int32_t>({2, 3}));
@@ -184,12 +184,54 @@ TEST(BatchedExec, NaNIsTrackedPerLane)
               exec::execute(graph, lanes[1]).firstInvalidNode);
 }
 
+std::vector<backends::Backend*>
+rawBackends(const std::vector<std::unique_ptr<backends::Backend>>& owned)
+{
+    std::vector<backends::Backend*> raw;
+    for (const auto& backend : owned)
+        raw.push_back(backend.get());
+    return raw;
+}
+
+/** runCaseBatch (one export for all lanes) must judge every lane
+ *  exactly as runCase (one export per lane) does. */
+std::vector<difftest::CaseResult>
+expectBatchMatchesPerLane(const Graph& graph,
+                          const std::vector<exec::LeafValues>& lanes,
+                          const std::vector<backends::Backend*>& raw)
+{
+    const auto batched = difftest::runCaseBatch(graph, lanes, raw);
+    EXPECT_EQ(batched.size(), lanes.size());
+    for (size_t l = 0; l < lanes.size() && l < batched.size(); ++l) {
+        const auto sequential = difftest::runCase(graph, lanes[l], raw);
+        EXPECT_EQ(batched[l].exportOk, sequential.exportOk);
+        EXPECT_EQ(batched[l].exportCrashKind, sequential.exportCrashKind);
+        EXPECT_EQ(batched[l].referenceValid, sequential.referenceValid);
+        EXPECT_EQ(batched[l].triggeredDefects,
+                  sequential.triggeredDefects);
+        EXPECT_EQ(batched[l].verdicts.size(), sequential.verdicts.size());
+        for (size_t v = 0; v < sequential.verdicts.size() &&
+                           v < batched[l].verdicts.size();
+             ++v) {
+            EXPECT_EQ(batched[l].verdicts[v].backend,
+                      sequential.verdicts[v].backend);
+            EXPECT_EQ(batched[l].verdicts[v].verdict,
+                      sequential.verdicts[v].verdict);
+            EXPECT_EQ(batched[l].verdicts[v].crashKind,
+                      sequential.verdicts[v].crashKind);
+            EXPECT_EQ(batched[l].verdicts[v].detail,
+                      sequential.verdicts[v].detail);
+            EXPECT_EQ(batched[l].verdicts[v].localizedToOptimizer,
+                      sequential.verdicts[v].localizedToOptimizer);
+        }
+    }
+    return batched;
+}
+
 TEST(BatchedExec, RunCaseBatchMatchesRunCase)
 {
-    auto owned = difftest::makeAllBackends();
-    std::vector<backends::Backend*> raw;
-    for (auto& backend : owned)
-        raw.push_back(backend.get());
+    const auto owned = difftest::makeAllBackends();
+    const auto raw = rawBackends(owned);
 
     Rng rng(23);
     int checked = 0;
@@ -201,37 +243,68 @@ TEST(BatchedExec, RunCaseBatchMatchesRunCase)
         std::vector<exec::LeafValues> lanes;
         for (size_t l = 0; l < 4; ++l)
             lanes.push_back(exec::randomLeaves(model->graph, rng));
-        const auto batched =
-            difftest::runCaseBatch(model->graph, lanes, raw);
-        ASSERT_EQ(batched.size(), lanes.size());
-        for (size_t l = 0; l < lanes.size(); ++l) {
-            const auto sequential =
-                difftest::runCase(model->graph, lanes[l], raw);
-            EXPECT_EQ(batched[l].exportOk, sequential.exportOk);
-            EXPECT_EQ(batched[l].exportCrashKind,
-                      sequential.exportCrashKind);
-            EXPECT_EQ(batched[l].referenceValid,
-                      sequential.referenceValid);
-            EXPECT_EQ(batched[l].triggeredDefects,
-                      sequential.triggeredDefects);
-            ASSERT_EQ(batched[l].verdicts.size(),
-                      sequential.verdicts.size());
-            for (size_t v = 0; v < sequential.verdicts.size(); ++v) {
-                EXPECT_EQ(batched[l].verdicts[v].backend,
-                          sequential.verdicts[v].backend);
-                EXPECT_EQ(batched[l].verdicts[v].verdict,
-                          sequential.verdicts[v].verdict);
-                EXPECT_EQ(batched[l].verdicts[v].crashKind,
-                          sequential.verdicts[v].crashKind);
-                EXPECT_EQ(batched[l].verdicts[v].detail,
-                          sequential.verdicts[v].detail);
-                EXPECT_EQ(batched[l].verdicts[v].localizedToOptimizer,
-                          sequential.verdicts[v].localizedToOptimizer);
-            }
-        }
+        expectBatchMatchesPerLane(model->graph, lanes, raw);
         ++checked;
     }
     EXPECT_GE(checked, 3);
+}
+
+/** A rank-0 Sqrt crashes the exporter (exp.scalar.sqrt): every lane
+ *  reports the export crash and its trigger, and no backend runs. */
+TEST(BatchedExec, RunCaseBatchMatchesRunCaseOnExportCrash)
+{
+    Graph graph;
+    const int x = addInput(graph, DType::kF32, Shape{});
+    baselines::appendUnary(graph, ops::UnaryKind::kSqrt, x);
+    const auto owned = difftest::makeAllBackends();
+    Rng rng(29);
+    std::vector<exec::LeafValues> lanes;
+    for (size_t l = 0; l < 3; ++l)
+        lanes.push_back(exec::randomLeaves(graph, rng));
+
+    const auto batched =
+        expectBatchMatchesPerLane(graph, lanes, rawBackends(owned));
+    for (const auto& result : batched) {
+        EXPECT_FALSE(result.exportOk);
+        EXPECT_EQ(result.exportCrashKind, "export.scalar");
+        EXPECT_TRUE(result.verdicts.empty());
+        EXPECT_EQ(result.triggeredDefects,
+                  std::vector<std::string>{"exp.scalar.sqrt"});
+    }
+}
+
+/** An i32 Clip fires exp.clip.i32 during the shared export and
+ *  trt.import.clip_i32 in every lane's TrtLite run: each lane's trace
+ *  is the export trigger followed by its own backend trigger, as one
+ *  per-case trace window records them. */
+TEST(BatchedExec, RunCaseBatchMatchesRunCaseOnExportTrigger)
+{
+    Graph graph;
+    const auto type =
+        tensor::TensorType::concrete(DType::kI32, Shape{{4}});
+    const int x = graph.addLeaf(graph::NodeKind::kInput, type, "x");
+    auto clip = std::make_shared<ops::ClipOp>(
+        ops::AttrMap{{"lo", -1}, {"hi", 1}});
+    clip->setDTypes({{DType::kI32}, {DType::kI32}});
+    graph.addOp(clip, {x}, {type});
+    const auto owned = difftest::makeAllBackends();
+    Rng rng(31);
+    std::vector<exec::LeafValues> lanes;
+    for (size_t l = 0; l < 3; ++l)
+        lanes.push_back(exec::randomLeaves(graph, rng));
+
+    const auto batched =
+        expectBatchMatchesPerLane(graph, lanes, rawBackends(owned));
+    for (const auto& result : batched) {
+        EXPECT_TRUE(result.exportOk);
+        ASSERT_FALSE(result.triggeredDefects.empty());
+        EXPECT_EQ(result.triggeredDefects.front(), "exp.clip.i32");
+        for (const char* id : {"exp.clip.i32", "trt.import.clip_i32"})
+            EXPECT_EQ(std::count(result.triggeredDefects.begin(),
+                                 result.triggeredDefects.end(), id),
+                      1)
+                << id;
+    }
 }
 
 /** oracle.comparisons also counts NaN-skipped verdicts, so comparable

@@ -351,6 +351,10 @@ TEST(CorpusParser, IndexTsvErrors)
                  ParseError);
     EXPECT_THROW(corpus::parseIndexTsv(header + "a\tb\tcrash\t-1\t1\n"),
                  ParseError);
+    // Digits only, but past uint64_t (2^64).
+    EXPECT_THROW(corpus::parseIndexTsv(header + "a\tb\tcrash\t1\t"
+                                                "18446744073709551616\n"),
+                 ParseError);
     // A good row parses.
     const auto entries =
         corpus::parseIndexTsv(header + "K|crash|d\tk.repro.txt\tcrash"
@@ -362,6 +366,23 @@ TEST(CorpusParser, IndexTsvErrors)
     // Missing directory.
     EXPECT_THROW(corpus::loadCorpusIndex("/nonexistent/nnsmith-corpus"),
                  ParseError);
+}
+
+TEST(CorpusWrite, FullDiskIsFatal)
+{
+    // /dev/full accepts open() and fails every write with ENOSPC: a
+    // small file fails at the buffered flush in fclose, a large one
+    // already in fwrite. Neither may leave a silently truncated file.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "/dev/full is not available";
+    EXPECT_THROW(corpus::writeCorpusFile("/dev/full", "index\n"),
+                 FatalError);
+    EXPECT_THROW(corpus::writeCorpusFile("/dev/full",
+                                         std::string(1 << 20, 'x')),
+                 FatalError);
+    EXPECT_THROW(corpus::writeCorpusFile("/nonexistent/nnsmith/x.tsv",
+                                         "index\n"),
+                 FatalError);
 }
 
 TEST(CorpusParser, MutatedReproFilesNeverCrashTheParser)
