@@ -73,9 +73,7 @@ audit(const fuzz::CampaignResult& result,
 {
     ReductionAudit out;
     for (const auto& [key, bug] : result.bugs) {
-        const bool graph_bug = bug.graphRepro != nullptr;
-        if (!graph_bug && bug.seqRepro == nullptr &&
-            bug.graphSeqRepro == nullptr)
+        if (bug.repro == nullptr)
             continue;
         ++out.withRepro;
         if (!bug.minimized)
@@ -83,8 +81,8 @@ audit(const fuzz::CampaignResult& result,
         ++out.minimized;
         out.ratios.push_back(static_cast<double>(bug.minimizedSize) /
                              static_cast<double>(bug.originalSize));
-        if (graph_bug &&
-            graph::validate(bug.graphRepro->graph).ok())
+        const auto* graph = std::get_if<fuzz::GraphRepro>(bug.repro.get());
+        if (graph != nullptr && graph::validate(graph->graph).ok())
             ++out.validated;
         if (reduce::reproStillFires(bug, backends))
             ++out.verified;

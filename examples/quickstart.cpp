@@ -132,7 +132,9 @@ main(int argc, char** argv)
                     minimized.dedupKey.c_str(), minimized.originalSize,
                     minimized.minimizedSize,
                     reduce::reproStillFires(minimized, ort) ? "yes" : "no",
-                    minimized.graphRepro->graph.toString().c_str());
+                    std::get<fuzz::GraphRepro>(*minimized.repro)
+                        .graph.toString()
+                        .c_str());
         reduced = std::move(minimized);
         reduced_one = true;
         break;

@@ -26,11 +26,16 @@ run_sanitize() {
 # libz3 is not TSan-instrumented and reports false lock errors, so this
 # build leaves z3 out. It runs only the fabric's tests, plus
 # autodiff_test for its per-thread proxy-derivative setting
-# (GradSearch.ProxyDerivativeSettingIsPerThread): the full suite on a
-# z3-less build stalls in graph_pass_test (ROADMAP item 7(a)).
+# (GradSearch.ProxyDerivativeSettingIsPerThread), reduce_test for
+# thread shards minimizing over shared repros
+# (MinimizingCampaign.ShardCountInvariantWithMinimizeOn) and
+# mutator_test for the mutation pool the guided fuzzers share: the
+# full suite on a z3-less build stalls in graph_pass_test (ROADMAP
+# item 7(a)).
 run_tsan() {
     echo "== tsan: ThreadSanitizer over the campaign fabric =="
-    local tests=(parallel_campaign_test fabric_test obs_test autodiff_test)
+    local tests=(parallel_campaign_test fabric_test obs_test autodiff_test
+                 reduce_test mutator_test)
     cmake -B build-tsan -S . -DNNSMITH_WITH_Z3=OFF \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread"

@@ -12,6 +12,9 @@ using tensor::DType;
 
 namespace {
 
+/** Adam step size (paper §5.1). */
+constexpr double kLearningRate = 0.5;
+
 double
 nowMs()
 {
@@ -76,7 +79,7 @@ search(const graph::Graph& graph, Rng& rng, const SearchConfig& config)
 
     exec::LeafValues leaves =
         exec::randomLeaves(graph, rng, config.initLo, config.initHi);
-    Adam adam(config.learningRate);
+    Adam adam(kLearningRate);
     int last_bad_node = -1;
 
     while (result.iterations < config.maxIterations &&

@@ -40,7 +40,6 @@ struct SearchConfig {
      *  the seed alone (Fig. 11 sweeps i*8ms, i in [1,8]). */
     double timeBudgetMs = std::numeric_limits<double>::infinity();
     int maxIterations = 256;      ///< hard cap independent of wall time
-    double learningRate = 0.5;    ///< paper §5.1
     double initLo = 1.0;          ///< Sampling draws from [1, 9) (§5.3)
     double initHi = 9.0;
 };

@@ -78,7 +78,7 @@ TzerFuzzer::iterate(uint64_t iteration_seed,
     ++iteration_;
     fuzz::IterationOutcome outcome;
     outcome.produced = true;
-    outcome.cost = 500; // TIR-level cases are cheap to build and run
+    outcome.cost = fuzz::kTirCaseCost;
 
     // Tzer links the whole compiler (runtime plumbing gets covered)
     // but never runs the graph frontend (Fig. 8: most of its coverage
@@ -123,11 +123,10 @@ TzerFuzzer::iterate(uint64_t iteration_seed,
     if (!outcome.bugs.empty()) {
         // Tzer always runs the fixed default pipeline; the reducer can
         // still ddmin that pipeline to the minimal failing subsequence.
-        auto repro = std::make_shared<fuzz::SeqRepro>();
-        repro->program = program;
-        repro->sequence = pipeline;
+        const auto repro = std::make_shared<const fuzz::Repro>(
+            fuzz::SeqRepro{program, pipeline, {}});
         for (auto& bug : outcome.bugs)
-            bug.seqRepro = repro;
+            bug.repro = repro;
     }
 
     // Coverage feedback: keep inputs that grew the TIR branch set. The

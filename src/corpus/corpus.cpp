@@ -38,26 +38,57 @@ renderLeaves(std::ostringstream& os, const exec::LeafValues& leaves)
     }
 }
 
+/** The graph and leaves sections, each after a blank line. */
+void
+renderGraphAndLeaves(std::ostringstream& os, const graph::Graph& graph,
+                     const exec::LeafValues& leaves)
+{
+    os << "\n" << schema::kSectionGraph << "\n" << graph.toString() << "\n";
+    os << "\n" << schema::kSectionLeaves << "\n";
+    renderLeaves(os, leaves);
+}
+
+/** The pass-sequence section and the blank line after it. */
+void
+renderSequence(std::ostringstream& os,
+               const std::vector<std::string>& sequence)
+{
+    os << "\n" << schema::kSectionSequence << "\n";
+    for (size_t i = 0; i < sequence.size(); ++i)
+        os << (i > 0 ? "," : "") << sequence[i];
+    os << "\n";
+}
+
 } // namespace
+
+std::string
+renderBugHeader(const BugRecord& bug)
+{
+    std::string out;
+    out += schema::kFingerprint + bug.dedupKey + '\n';
+    out += schema::kBackend + bug.backend + '\n';
+    out += schema::kKind + bug.kind + '\n';
+    out += schema::kDetail + bug.detail + '\n';
+    out += schema::kDefects;
+    for (const auto& defect :
+         bug.minimized ? bug.minimizedDefects : bug.defects) {
+        out += ' ';
+        out += defect;
+    }
+    out += '\n';
+    return out;
+}
 
 std::string
 renderRepro(const BugRecord& bug)
 {
+    NNSMITH_ASSERT(bug.repro != nullptr,
+                   "renderRepro: bug record carries no repro");
     std::ostringstream os;
-    os << schema::kMagic << "\n";
-    os << schema::kFingerprint << bug.dedupKey << "\n";
-    os << schema::kBackend << bug.backend << "\n";
-    os << schema::kKind << bug.kind << "\n";
-    os << schema::kDetail << bug.detail << "\n";
-    // The minimized repro's own trigger trace; the discovery-time
-    // trace is kept alongside when reduction stripped co-triggered
-    // noise from it.
-    const auto& defects =
-        bug.minimized ? bug.minimizedDefects : bug.defects;
-    os << schema::kDefects;
-    for (const auto& defect : defects)
-        os << " " << defect;
-    os << "\n";
+    os << schema::kMagic << "\n" << renderBugHeader(bug);
+    // The header's defects line is the minimized repro's own trigger
+    // trace; the discovery-time trace is kept alongside when reduction
+    // stripped co-triggered noise from it.
     if (bug.minimized && bug.minimizedDefects != bug.defects) {
         os << schema::kDiscoveryDefects;
         for (const auto& defect : bug.defects)
@@ -67,21 +98,19 @@ renderRepro(const BugRecord& bug)
     if (bug.minimized) {
         os << schema::kReduction << bug.originalSize << " -> "
            << bug.minimizedSize
-           << (bug.graphRepro != nullptr ? " op nodes" : " passes")
+           << (std::holds_alternative<fuzz::GraphRepro>(*bug.repro)
+                   ? " op nodes"
+                   : " passes")
            << " (ddmin)\n";
     } else {
         os << schema::kReduction << schema::kReductionNone << "\n";
     }
-    if (bug.graphRepro != nullptr) {
-        const auto& repro = *bug.graphRepro;
-        os << "\n" << schema::kSectionGraph << "\n"
-           << repro.graph.toString() << "\n";
-        os << "\n" << schema::kSectionLeaves << "\n";
-        renderLeaves(os, repro.leaves);
+    if (const auto* graph = std::get_if<fuzz::GraphRepro>(bug.repro.get())) {
+        renderGraphAndLeaves(os, graph->graph, graph->leaves);
         // The deployable artifact; for export-crash bugs the export
         // *is* the defect, so the graph rendering above is the repro.
         try {
-            const auto model = onnx::exportGraph(repro.graph);
+            const auto model = onnx::exportGraph(graph->graph);
             os << "\n" << schema::kSectionOnnx << "\n"
                << model.serialize() << "\n";
         } catch (const BackendError& error) {
@@ -89,24 +118,17 @@ renderRepro(const BugRecord& bug)
                << error.kind()
                << " — replay the graph above through the exporter)\n";
         }
-    } else if (bug.graphSeqRepro != nullptr) {
+    } else if (const auto* graph_seq =
+                   std::get_if<fuzz::GraphSeqRepro>(bug.repro.get())) {
         // A graph-level pass-sequence repro (backends/graph_pass.h):
         // sequence first (the reduced dimension), then the model and
         // its leaves. Replay re-exports the graph, so no onnx section.
-        const auto& repro = *bug.graphSeqRepro;
-        os << "\n" << schema::kSectionSequence << "\n";
-        for (size_t i = 0; i < repro.sequence.size(); ++i)
-            os << (i > 0 ? "," : "") << repro.sequence[i];
-        os << "\n\n" << schema::kSectionGraph << "\n"
-           << repro.graph.toString() << "\n";
-        os << "\n" << schema::kSectionLeaves << "\n";
-        renderLeaves(os, repro.leaves);
-    } else if (bug.seqRepro != nullptr) {
-        const auto& repro = *bug.seqRepro;
-        os << "\n" << schema::kSectionSequence << "\n";
-        for (size_t i = 0; i < repro.sequence.size(); ++i)
-            os << (i > 0 ? "," : "") << repro.sequence[i];
-        os << "\n\n" << schema::kSectionProgram << "\n"
+        renderSequence(os, graph_seq->sequence);
+        renderGraphAndLeaves(os, graph_seq->graph, graph_seq->leaves);
+    } else {
+        const auto& repro = std::get<fuzz::SeqRepro>(*bug.repro);
+        renderSequence(os, repro.sequence);
+        os << "\n" << schema::kSectionProgram << "\n"
            << repro.program.toString() << "\n";
         if (!repro.initial.empty()) {
             os << "\n" << schema::kSectionBuffers << "\n";

@@ -88,11 +88,19 @@ inline constexpr const char* kIndexHeader =
 } // namespace schema
 
 /**
- * Render one bug record into the on-disk repro text. Requires repro
- * material (graphRepro, seqRepro or graphSeqRepro); the graphRepro
- * side re-runs the ONNX export, so export-crash defects may fire into
- * the ambient trigger trace (scope with DefectRegistry::TraceScope
- * where that matters).
+ * The five header lines every bug document carries after its magic
+ * line: fingerprint, backend, kind, detail and defects (the minimized
+ * repro's own trace for a minimized record). Written for repro
+ * documents and for the wire's repro-less ones (fuzz/wire.h); read
+ * back by corpus::parseBugHeader.
+ */
+std::string renderBugHeader(const fuzz::BugRecord& bug);
+
+/**
+ * Render one bug record into the on-disk repro text. Requires a
+ * repro; a graph repro re-runs the ONNX export, so export-crash
+ * defects may fire into the ambient trigger trace (scope with
+ * DefectRegistry::TraceScope where that matters).
  */
 std::string renderRepro(const fuzz::BugRecord& bug);
 

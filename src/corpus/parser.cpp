@@ -575,6 +575,16 @@ parseTirProgramLines(const std::vector<std::string>& lines, size_t begin,
 
 // ---- repro document -------------------------------------------------------
 
+/** @p line minus its @p prefix; fails when the prefix is missing. */
+std::string
+fieldValue(const std::string& line, const char* prefix)
+{
+    if (!startsWith(line, prefix))
+        fail(std::string("expected '") + prefix + "' line, got '" + line +
+             "'");
+    return line.substr(std::strlen(prefix));
+}
+
 /** Cursor over the document's lines with prefix-checked accessors. */
 struct Cursor {
     const std::vector<std::string>& lines;
@@ -593,11 +603,7 @@ struct Cursor {
     std::string
     field(const char* prefix)
     {
-        const std::string& line = next(prefix);
-        if (!startsWith(line, prefix))
-            fail(std::string("expected '") + prefix + "' line, got '" +
-                 line + "'");
-        return line.substr(std::strlen(prefix));
+        return fieldValue(next(prefix), prefix);
     }
 
     /** Consume the (one or more) blank lines between sections. */
@@ -737,6 +743,26 @@ parseTirProgramText(const std::string& text)
 }
 
 BugRecord
+parseBugHeader(const std::function<std::string(const char* what)>& next_line)
+{
+    auto field = [&](const char* prefix) {
+        return fieldValue(next_line(prefix), prefix);
+    };
+    BugRecord bug;
+    bug.dedupKey = field(schema::kFingerprint);
+    if (bug.dedupKey.empty())
+        fail("empty fingerprint");
+    bug.backend = field(schema::kBackend);
+    bug.kind = field(schema::kKind);
+    if (bug.kind != "crash" && bug.kind != "wrong-result" &&
+        bug.kind != "export-crash")
+        fail("unknown bug kind '" + bug.kind + "'");
+    bug.detail = field(schema::kDetail);
+    bug.defects = parseDefectList(field(schema::kDefects));
+    return bug;
+}
+
+BugRecord
 parseRepro(const std::string& text)
 {
     const auto lines = splitLines(text);
@@ -744,16 +770,9 @@ parseRepro(const std::string& text)
 
     if (cursor.next("magic line") != schema::kMagic)
         fail(std::string("missing magic line '") + schema::kMagic + "'");
-    BugRecord bug;
-    bug.dedupKey = cursor.field(schema::kFingerprint);
-    bug.backend = cursor.field(schema::kBackend);
-    bug.kind = cursor.field(schema::kKind);
-    if (bug.kind != "crash" && bug.kind != "wrong-result" &&
-        bug.kind != "export-crash")
-        fail("unknown bug kind '" + bug.kind + "'");
-    bug.detail = cursor.field(schema::kDetail);
+    BugRecord bug = parseBugHeader(
+        [&](const char* what) { return cursor.next(what); });
 
-    const auto defects = parseDefectList(cursor.field(schema::kDefects));
     bool has_discovery = false;
     std::vector<std::string> discovery;
     if (!cursor.done() &&
@@ -765,7 +784,6 @@ parseRepro(const std::string& text)
 
     const std::string reduction = cursor.field(schema::kReduction);
     if (reduction == schema::kReductionNone) {
-        bug.defects = defects;
         if (has_discovery)
             fail("raw repro cannot carry a discovery-defects line");
     } else {
@@ -786,17 +804,20 @@ parseRepro(const std::string& text)
         bug.minimized = true;
         bug.originalSize = static_cast<size_t>(original);
         bug.minimizedSize = static_cast<size_t>(shrunk);
-        bug.minimizedDefects = defects;
-        bug.defects = has_discovery ? discovery : defects;
-        if (has_discovery && bug.defects == bug.minimizedDefects)
-            fail("discovery-defects line equals the defects line");
+        // The header's defects line is the minimized repro's own trace.
+        bug.minimizedDefects = bug.defects;
+        if (has_discovery) {
+            bug.defects = std::move(discovery);
+            if (bug.defects == bug.minimizedDefects)
+                fail("discovery-defects line equals the defects line");
+        }
     }
 
     cursor.blanks();
     const std::string& section = cursor.next("section marker");
     if (section == schema::kSectionGraph) {
-        auto repro = std::make_shared<fuzz::GraphRepro>();
-        parseGraphAndLeaves(cursor, lines, repro->graph, repro->leaves);
+        fuzz::GraphRepro repro;
+        parseGraphAndLeaves(cursor, lines, repro.graph, repro.leaves);
 
         // The trailing onnx section is regenerated from the graph on
         // re-serialization; accept and skip whatever is here.
@@ -806,7 +827,7 @@ parseRepro(const std::string& text)
                 fail("expected onnx section after the leaves");
             cursor.pos = lines.size();
         }
-        bug.graphRepro = std::move(repro);
+        bug.repro = std::make_shared<const fuzz::Repro>(std::move(repro));
         return bug;
     }
 
@@ -821,31 +842,31 @@ parseRepro(const std::string& text)
     // sequences are graph passes over a model, TVMLite sequences are
     // TIR passes over a program. Any other tag has no registry.
     if (backends::isGraphPassBackend(bug.backend)) {
-        auto repro = std::make_shared<fuzz::GraphSeqRepro>();
+        fuzz::GraphSeqRepro repro;
         for (const auto& name : names) {
             if (backends::findGraphPass(bug.backend, name) == nullptr)
                 fail("unknown " + bug.backend + " graph pass '" + name +
                      "'");
-            repro->sequence.push_back(name);
+            repro.sequence.push_back(name);
         }
         cursor.blanks();
         if (cursor.next("graph section") != schema::kSectionGraph)
             fail("expected graph section after the pass sequence");
-        parseGraphAndLeaves(cursor, lines, repro->graph, repro->leaves);
+        parseGraphAndLeaves(cursor, lines, repro.graph, repro.leaves);
         if (!cursor.done())
             fail("trailing content after the leaves section");
-        bug.graphSeqRepro = std::move(repro);
+        bug.repro = std::make_shared<const fuzz::Repro>(std::move(repro));
         return bug;
     }
     if (bug.backend != "TVMLite")
         fail("backend '" + bug.backend +
              "' has no sequenceable pass registry");
 
-    auto repro = std::make_shared<fuzz::SeqRepro>();
+    fuzz::SeqRepro repro;
     for (const auto& name : names) {
         if (tirlite::findTirPass(name) == nullptr)
             fail("unknown TIR pass '" + name + "'");
-        repro->sequence.push_back(name);
+        repro.sequence.push_back(name);
     }
 
     cursor.blanks();
@@ -854,7 +875,7 @@ parseRepro(const std::string& text)
     const size_t begin = cursor.pos;
     while (!cursor.done() && !lines[cursor.pos].empty())
         ++cursor.pos;
-    repro->program = parseTirProgramLines(lines, begin, cursor.pos);
+    repro.program = parseTirProgramLines(lines, begin, cursor.pos);
 
     // The program's rendering ends in a newline, so a repro without
     // initial buffers ends in a blank line, not a buffers section.
@@ -867,12 +888,12 @@ parseRepro(const std::string& text)
             // "  buffer[0]: v v v"
             const std::string& line = lines[cursor.pos++];
             const std::string prefix =
-                "  buffer[" + std::to_string(repro->initial.size()) +
+                "  buffer[" + std::to_string(repro.initial.size()) +
                 "]:";
             if (!startsWith(line, prefix))
                 fail("malformed or out-of-order buffer line '" + line +
                      "'");
-            if (repro->initial.size() >= repro->program.bufferSizes.size())
+            if (repro.initial.size() >= repro.program.bufferSizes.size())
                 fail("more initial buffers than declared buffers");
             std::vector<double> values;
             std::istringstream is(line.substr(prefix.size()));
@@ -881,18 +902,17 @@ parseRepro(const std::string& text)
                 values.push_back(
                     parseFiniteDouble(token, "buffer element"));
             const auto want = static_cast<size_t>(
-                repro->program
-                    .bufferSizes[repro->initial.size()]);
+                repro.program.bufferSizes[repro.initial.size()]);
             if (values.size() != want)
-                fail("buffer[" + std::to_string(repro->initial.size()) +
+                fail("buffer[" + std::to_string(repro.initial.size()) +
                      "] has " + std::to_string(values.size()) +
                      " elements, want " + std::to_string(want));
-            repro->initial.push_back(std::move(values));
+            repro.initial.push_back(std::move(values));
         }
-        if (repro->initial.size() != repro->program.bufferSizes.size())
+        if (repro.initial.size() != repro.program.bufferSizes.size())
             fail("initial-buffers section covers " +
-                 std::to_string(repro->initial.size()) + " of " +
-                 std::to_string(repro->program.bufferSizes.size()) +
+                 std::to_string(repro.initial.size()) + " of " +
+                 std::to_string(repro.program.bufferSizes.size()) +
                  " buffers");
     }
     // The genuine-miscompile record (fingerprint-tagged — replay keys
@@ -900,10 +920,10 @@ parseRepro(const std::string& text)
     // the differential interp oracle, which needs the captured inputs.
     if (bug.kind == "wrong-result" &&
         reduce::crashKindOfKey(bug.dedupKey) == "tir.seq.miscompile" &&
-        repro->initial.empty())
+        repro.initial.empty())
         fail("miscompile repro without initial buffers is not "
              "replayable");
-    bug.seqRepro = std::move(repro);
+    bug.repro = std::make_shared<const fuzz::Repro>(std::move(repro));
     return bug;
 }
 

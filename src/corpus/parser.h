@@ -23,6 +23,7 @@
 #ifndef NNSMITH_CORPUS_PARSER_H
 #define NNSMITH_CORPUS_PARSER_H
 
+#include <functional>
 #include <map>
 #include <string>
 
@@ -37,6 +38,18 @@ namespace nnsmith::corpus {
  * `dedupKey` is the file's fingerprint line. Throws ParseError.
  */
 fuzz::BugRecord parseRepro(const std::string& text);
+
+/**
+ * Read the five header lines corpus::renderBugHeader writes, each
+ * taken from @p next_line (which returns the document's next line and
+ * names it @p what in its own truncation error). Checks each line's
+ * prefix, a non-empty fingerprint and a known kind ("crash" |
+ * "wrong-result" | "export-crash"); the defects line lands in
+ * `defects`. Shared by parseRepro and the wire's repro-less bug
+ * documents. Throws ParseError.
+ */
+fuzz::BugRecord
+parseBugHeader(const std::function<std::string(const char* what)>& next_line);
 
 /**
  * Parse a `graph { ... }` rendering (graph::Graph::toString) into a

@@ -46,8 +46,7 @@ replayRepro(const BugRecord& bug,
     ReplayOutcome outcome;
     outcome.fingerprint = bug.dedupKey;
     outcome.kind = bug.kind;
-    if (bug.graphRepro == nullptr && bug.seqRepro == nullptr &&
-        bug.graphSeqRepro == nullptr) {
+    if (bug.repro == nullptr) {
         outcome.status = ReplayStatus::kParseError;
         outcome.detail = "repro carries no replayable artifact";
         return outcome;

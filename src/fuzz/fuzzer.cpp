@@ -203,11 +203,10 @@ executeGraphCaseBatch(const graph::Graph& graph,
         if (!bugs.empty()) {
             // One shared repro for all of this lane's records; the
             // reduction subsystem (reduce/reducer.h) delta-debugs it.
-            auto repro = std::make_shared<GraphRepro>();
-            repro->graph = graph;
-            repro->leaves = lanes[l];
+            const auto repro =
+                std::make_shared<const Repro>(GraphRepro{graph, lanes[l]});
             for (auto& bug : bugs)
-                bug.graphRepro = repro;
+                bug.repro = repro;
         }
         for (auto& bug : bugs)
             outcome.bugs.push_back(std::move(bug));

@@ -16,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "autodiff/grad_search.h"
@@ -98,7 +99,21 @@ struct GraphSeqRepro {
     std::vector<std::string> sequence;
 };
 
-/** One deduplicable bug observation. */
+/**
+ * The repro material of one flagged case, in one of three kinds: a
+ * graph case, a TIR pass sequence, or a graph-level pass sequence.
+ * Every consumer (renderer, parser, oracle re-run, reducer, mutation
+ * pool) switches on the alternative once; the alternative order is
+ * the mutation pool's kind order (fuzz/mutator.h).
+ */
+using Repro = std::variant<GraphRepro, SeqRepro, GraphSeqRepro>;
+
+/**
+ * One deduplicable bug observation. A flagged case's records share
+ * one immutable repro (one case may emit several records), which the
+ * reducer keys its per-case cache on; repro-less fuzzers leave it
+ * null.
+ */
 struct BugRecord {
     std::string dedupKey; ///< e.g. "TVMLite|crash|tvm.layout.nchw4c_slice"
     std::string backend;
@@ -106,12 +121,9 @@ struct BugRecord {
     std::string detail;
     std::vector<std::string> defects; ///< seeded defects in the trace
 
-    /** At most one of these is set; all null for repro-less fuzzers. */
-    std::shared_ptr<const GraphRepro> graphRepro;
-    std::shared_ptr<const SeqRepro> seqRepro;
-    std::shared_ptr<const GraphSeqRepro> graphSeqRepro;
+    std::shared_ptr<const Repro> repro;
 
-    /** Filled by reduce::minimizeBug: size is op nodes for graph
+    /** Filled by reduce::minimizeBugs: size is op nodes for graph
      *  repros, passes for sequence repros. `defects` keeps the
      *  discovery-time trace (found/seeded accounting); the minimized
      *  repro's own trace lands in `minimizedDefects`. */

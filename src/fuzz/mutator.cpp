@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "ops/broadcast.h"
 #include "ops/registry.h"
+#include "tirlite/tir.h"
 
 namespace nnsmith::fuzz {
 
@@ -26,6 +27,13 @@ using tensor::Tensor;
 using tensor::TensorType;
 
 namespace {
+
+/** Mutants per mutating iteration. Corpus repros are minimized — a
+ *  single tiny mutant covers far less than the 10-op fresh draw it
+ *  displaces — so a mutating iteration runs a burst of independently
+ *  drawn mutants (costed individually; virtual time accounts for the
+ *  extra work). */
+constexpr int kMutationBurst = 3;
 
 // ---- leaf regeneration -----------------------------------------------------
 
@@ -371,6 +379,18 @@ perturbLeafValues(const GraphRepro& seed, Rng& rng)
     return out;
 }
 
+/** The backend of @p list called @p name, or nullptr. */
+backends::Backend*
+namedBackend(const std::vector<backends::Backend*>& list,
+             const std::string& name)
+{
+    for (backends::Backend* backend : list) {
+        if (backend != nullptr && backend->name() == name)
+            return backend;
+    }
+    return nullptr;
+}
+
 } // namespace
 
 // ---- public mutation entry points ------------------------------------------
@@ -405,27 +425,19 @@ MutationPool::fromCorpusDir(const std::string& dir)
         const std::string path =
             (std::filesystem::path(dir) / entry.file).string();
         try {
-            pool.addBug(corpus::parseRepro(corpus::readCorpusFile(path)));
+            // A parsed document always carries its repro.
+            pool.seeds_.push_back(
+                corpus::parseRepro(corpus::readCorpusFile(path)));
         } catch (const corpus::ParseError&) {
             // Replay classifies this file as parse-error; it cannot
             // seed mutations either.
         }
     }
+    std::stable_sort(pool.seeds_.begin(), pool.seeds_.end(),
+                     [](const BugRecord& a, const BugRecord& b) {
+                         return a.repro->index() < b.repro->index();
+                     });
     return pool;
-}
-
-void
-MutationPool::addBug(const BugRecord& bug)
-{
-    if (bug.graphRepro != nullptr) {
-        graphs_.push_back(*bug.graphRepro);
-    } else if (bug.graphSeqRepro != nullptr) {
-        graphSeqs_.push_back({bug.backend, bug.graphSeqRepro->graph,
-                              bug.graphSeqRepro->leaves,
-                              bug.graphSeqRepro->sequence});
-    } else if (bug.seqRepro != nullptr) {
-        tirSeqs_.push_back({bug.seqRepro->program, bug.seqRepro->sequence});
-    }
 }
 
 // ---- CorpusGuidedFuzzer ----------------------------------------------------
@@ -455,25 +467,16 @@ CorpusGuidedFuzzer::iterate(
     // graph-pass sequence repros need their owning backend present.
     // Both facts are fixed per campaign, so the candidate list — and
     // with it every draw below — depends only on the constructor seed.
-    struct Candidate {
-        int kind; // 0 = graph, 1 = TIR sequence, 2 = graph-pass sequence
-        size_t index;
-    };
-    std::vector<Candidate> candidates;
-    if (!backend_list.empty()) {
-        for (size_t i = 0; i < pool_->graphSeeds().size(); ++i)
-            candidates.push_back({0, i});
-    }
-    for (size_t i = 0; i < pool_->tirSeqSeeds().size(); ++i)
-        candidates.push_back({1, i});
-    for (size_t i = 0; i < pool_->graphSeqSeeds().size(); ++i) {
-        for (const backends::Backend* backend : backend_list) {
-            if (backend != nullptr &&
-                backend->name() == pool_->graphSeqSeeds()[i].backend) {
-                candidates.push_back({2, i});
-                break;
-            }
-        }
+    const auto& seeds = pool_->seeds();
+    std::vector<size_t> candidates;
+    for (size_t i = 0; i < seeds.size(); ++i) {
+        const Repro& repro = *seeds[i].repro;
+        if (std::holds_alternative<GraphRepro>(repro) && backend_list.empty())
+            continue;
+        if (std::holds_alternative<GraphSeqRepro>(repro) &&
+            namedBackend(backend_list, seeds[i].backend) == nullptr)
+            continue;
+        candidates.push_back(i);
     }
 
     if (candidates.empty() || !rng_.chance(options_.mutationRate)) {
@@ -483,22 +486,18 @@ CorpusGuidedFuzzer::iterate(
     obs::counterAdd("mutate.guided.mutated");
 
     IterationOutcome outcome;
-    for (int b = 0; b < std::max(1, options_.mutationBurst); ++b) {
-        const Candidate pick = candidates[rng_.index(candidates.size())];
+    for (int b = 0; b < kMutationBurst; ++b) {
+        const BugRecord& seed = seeds[candidates[rng_.index(
+            candidates.size())]];
         IterationOutcome one;
-        switch (pick.kind) {
-          case 0:
-            one = runGraphMutant(pool_->graphSeeds()[pick.index],
-                                 backend_list);
-            break;
-          case 1:
-            one = runTirSeqMutant(pool_->tirSeqSeeds()[pick.index]);
-            break;
-          default:
-            one = runGraphSeqMutant(pool_->graphSeqSeeds()[pick.index],
-                                    backend_list);
-            break;
-        }
+        if (const auto* graph = std::get_if<GraphRepro>(seed.repro.get()))
+            one = runGraphMutant(*graph, backend_list);
+        else if (const auto* tir = std::get_if<SeqRepro>(seed.repro.get()))
+            one = runTirSeqMutant(*tir);
+        else
+            one = runGraphSeqMutant(std::get<GraphSeqRepro>(*seed.repro),
+                                    *namedBackend(backend_list,
+                                                  seed.backend));
         outcome.produced = outcome.produced || one.produced;
         outcome.cost += one.cost;
         for (auto& bug : one.bugs)
@@ -555,7 +554,7 @@ CorpusGuidedFuzzer::runGraphMutant(
 }
 
 IterationOutcome
-CorpusGuidedFuzzer::runTirSeqMutant(const TirSeqSeedCase& seed)
+CorpusGuidedFuzzer::runTirSeqMutant(const SeqRepro& seed)
 {
     tirlite::TirProgram program = seed.program;
     const int steps = static_cast<int>(rng_.index(3));
@@ -563,30 +562,20 @@ CorpusGuidedFuzzer::runTirSeqMutant(const TirSeqSeedCase& seed)
         program = tirlite::mutate(program, rng_);
     const auto sequence =
         backends::mutatePassSequence("TVMLite", seed.sequence, rng_);
-    return runTirSequenceCase(program, sequence, /*case_cost=*/500, rng_);
+    return runTirSequenceCase(program, sequence, rng_);
 }
 
 IterationOutcome
-CorpusGuidedFuzzer::runGraphSeqMutant(
-    const GraphSeqSeedCase& seed,
-    const std::vector<backends::Backend*>& backend_list)
+CorpusGuidedFuzzer::runGraphSeqMutant(const GraphSeqRepro& seed,
+                                      backends::Backend& backend)
 {
-    backends::Backend* backend = nullptr;
-    for (backends::Backend* candidate : backend_list) {
-        if (candidate != nullptr && candidate->name() == seed.backend)
-            backend = candidate;
-    }
-    NNSMITH_ASSERT(backend != nullptr,
-                   "corpus-guided: backend ", seed.backend,
-                   " vanished from the campaign's backend list");
-
     GraphRepro mutant = {seed.graph, seed.leaves};
     if (rng_.chance(0.5))
         mutant = mutateGraphCase(mutant, rng_);
     const auto sequence =
-        backends::mutatePassSequence(seed.backend, seed.sequence, rng_);
+        backends::mutatePassSequence(backend.name(), seed.sequence, rng_);
     IterationOutcome outcome = runGraphSequenceCase(
-        *backend, mutant.graph, mutant.leaves, sequence, options_.cost);
+        backend, mutant.graph, mutant.leaves, sequence, options_.cost);
     outcome.cost += options_.cost.generationPerOp / 4 *
                     std::max(1, mutant.graph.numOpNodes());
     return outcome;

@@ -11,7 +11,8 @@
  * (CampaignConfig::corpusGuided) those entries become mutation seeds:
  * each campaign iteration chooses — seeded off nothing but its own
  * derived iteration seed — between drawing a fresh case from the
- * wrapped fuzzer and mutating a corpus entry.
+ * wrapped fuzzer and mutating a corpus entry. A seed is the parsed bug
+ * record itself; its fuzz::Repro kind selects the operators below.
  *
  * Mutation operators:
  *
@@ -33,12 +34,12 @@
  *    re-validates against that registry.
  *
  * Shard invariance: the pool is immutable after load (one parse of the
- * corpus dir, in index order, before any worker starts — so it
- * pre-exists process workers' fork()), and a CorpusGuidedFuzzer built
- * from iteration seed s consumes only its own Rng(s). No shared
- * mutable state exists, so the byte-identical merge guarantee of
- * fuzz/parallel_campaign.h holds across {thread, process} × any shard
- * count, `--minimize --corpus` included.
+ * corpus dir, kind-major and in index order within a kind, before any
+ * worker starts — so it pre-exists process workers' fork()), and a
+ * CorpusGuidedFuzzer built from iteration seed s consumes only its own
+ * Rng(s). No shared mutable state exists, so the byte-identical merge
+ * guarantee of fuzz/parallel_campaign.h holds across {thread, process}
+ * × any shard count, `--minimize --corpus` included.
  */
 #ifndef NNSMITH_FUZZ_MUTATOR_H
 #define NNSMITH_FUZZ_MUTATOR_H
@@ -46,28 +47,12 @@
 #include <memory>
 
 #include "fuzz/fuzzer.h"
-#include "tirlite/tir.h"
 
 namespace nnsmith::fuzz {
 
-/** A TIR pass-sequence mutation seed (TVMLite repros). */
-struct TirSeqSeedCase {
-    tirlite::TirProgram program;
-    std::vector<std::string> sequence;
-};
-
-/** A graph-level pass-sequence mutation seed (OrtLite/TrtLite). */
-struct GraphSeqSeedCase {
-    std::string backend; ///< owning registry ("OrtLite" | "TrtLite")
-    graph::Graph graph;
-    exec::LeafValues leaves;
-    std::vector<std::string> sequence;
-};
-
 /**
- * The immutable seed pool a corpus-guided campaign mutates. Loaded
- * once per campaign from a `--report-dir` corpus tree; entries keep
- * index.tsv order so the pool — like the corpus — is byte-stable.
+ * The immutable seed pool a corpus-guided campaign mutates: the parsed
+ * records of a `--report-dir` corpus tree, loaded once per campaign.
  */
 class MutationPool {
   public:
@@ -79,33 +64,17 @@ class MutationPool {
      */
     static MutationPool fromCorpusDir(const std::string& dir);
 
-    /** File a parsed bug record under the matching seed kind. Records
-     *  without repro material are ignored. */
-    void addBug(const BugRecord& bug);
-
-    bool empty() const
-    {
-        return graphs_.empty() && tirSeqs_.empty() && graphSeqs_.empty();
-    }
-    size_t size() const
-    {
-        return graphs_.size() + tirSeqs_.size() + graphSeqs_.size();
-    }
-
-    const std::vector<GraphRepro>& graphSeeds() const { return graphs_; }
-    const std::vector<TirSeqSeedCase>& tirSeqSeeds() const
-    {
-        return tirSeqs_;
-    }
-    const std::vector<GraphSeqSeedCase>& graphSeqSeeds() const
-    {
-        return graphSeqs_;
-    }
+    /**
+     * The seeds, kind-major in fuzz::Repro's alternative order (graph
+     * cases, then TIR sequences, then graph-pass sequences), each kind
+     * in index.tsv order, so the pool — like the corpus — is
+     * byte-stable. Every seed carries a repro; a graph-pass seed's
+     * `backend` names its owning pass registry.
+     */
+    const std::vector<BugRecord>& seeds() const { return seeds_; }
 
   private:
-    std::vector<GraphRepro> graphs_;
-    std::vector<TirSeqSeedCase> tirSeqs_;
-    std::vector<GraphSeqSeedCase> graphSeqs_;
+    std::vector<BugRecord> seeds_;
 };
 
 /**
@@ -139,13 +108,6 @@ class CorpusGuidedFuzzer final : public Fuzzer {
          *  fresh (given a nonempty applicable pool). */
         double mutationRate = 0.2;
 
-        /** Mutants per mutating iteration. Corpus repros are minimized
-         *  — a single tiny mutant covers far less than the 10-op fresh
-         *  draw it displaces — so a mutating iteration runs a burst of
-         *  independently drawn mutants (costed individually; virtual
-         *  time accounts for the extra work). */
-        int mutationBurst = 3;
-
         /** Cost model for mutant execution (mutation replaces the
          *  constraint-solving generation cost with a cheap rebuild). */
         CostModel cost;
@@ -168,10 +130,9 @@ class CorpusGuidedFuzzer final : public Fuzzer {
     IterationOutcome
     runGraphMutant(const GraphRepro& seed,
                    const std::vector<backends::Backend*>& backend_list);
-    IterationOutcome runTirSeqMutant(const TirSeqSeedCase& seed);
-    IterationOutcome
-    runGraphSeqMutant(const GraphSeqSeedCase& seed,
-                      const std::vector<backends::Backend*>& backend_list);
+    IterationOutcome runTirSeqMutant(const SeqRepro& seed);
+    IterationOutcome runGraphSeqMutant(const GraphSeqRepro& seed,
+                                       backends::Backend& backend);
 
     std::unique_ptr<Fuzzer> inner_;
     std::shared_ptr<const MutationPool> pool_;

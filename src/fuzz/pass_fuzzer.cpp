@@ -17,6 +17,9 @@ using tirlite::buffersEquivalent; // the shared bitwise oracle contract
 
 namespace {
 
+/** Max mutate() steps applied on top of a TIR case's randomProgram. */
+constexpr size_t kMaxProgramMutations = 3;
+
 std::string
 joinSequence(const std::vector<std::string>& sequence)
 {
@@ -61,14 +64,13 @@ PassSequenceFuzzer::iterateTir()
     // pass-interaction defects like fusion-then-DSE reachable).
     tirlite::TirProgram program = tirlite::randomProgram(rng_);
     const int mutations =
-        static_cast<int>(rng_.index(
-            static_cast<size_t>(options_.maxMutations) + 1));
+        static_cast<int>(rng_.index(kMaxProgramMutations + 1));
     for (int i = 0; i < mutations; ++i)
         program = tirlite::mutate(program, rng_);
 
     // Sequence: random subset + order of the registry.
     const auto sequence = backends::drawPassSequence("TVMLite", rng_);
-    return runTirSequenceCase(program, sequence, options_.caseCost, rng_);
+    return runTirSequenceCase(program, sequence, rng_);
 }
 
 std::vector<BugRecord>
@@ -137,12 +139,11 @@ TirSequenceOracle::query(const std::vector<std::string>& sequence) const
 
 IterationOutcome
 runTirSequenceCase(const tirlite::TirProgram& program,
-                   const std::vector<std::string>& sequence,
-                   VirtualMs case_cost, Rng& rng)
+                   const std::vector<std::string>& sequence, Rng& rng)
 {
     IterationOutcome outcome;
     outcome.produced = true;
-    outcome.cost = case_cost;
+    outcome.cost = kTirCaseCost;
 
     backends::recordSequenceCoverage("TVMLite", sequence);
     outcome.instanceKeys.push_back("tirseq/" + joinSequence(sequence));
@@ -155,12 +156,10 @@ runTirSequenceCase(const tirlite::TirProgram& program,
     if (!outcome.bugs.empty()) {
         // Repro for the pass-sequence reducer: the (mutated) program,
         // the flagged sequence, and the oracle's initial buffers.
-        auto repro = std::make_shared<SeqRepro>();
-        repro->program = program;
-        repro->sequence = sequence;
-        repro->initial = std::move(initial);
+        const auto repro = std::make_shared<const Repro>(
+            SeqRepro{program, sequence, std::move(initial)});
         for (auto& bug : outcome.bugs)
-            bug.seqRepro = repro;
+            bug.repro = repro;
     }
     return outcome;
 }
@@ -319,12 +318,10 @@ runGraphSequenceCase(backends::Backend& backend, const graph::Graph& graph,
 
     outcome.bugs = oracle.query(sequence);
     if (!outcome.bugs.empty()) {
-        auto repro = std::make_shared<GraphSeqRepro>();
-        repro->graph = graph;
-        repro->leaves = leaves;
-        repro->sequence = sequence;
+        const auto repro = std::make_shared<const Repro>(
+            GraphSeqRepro{graph, leaves, sequence});
         for (auto& bug : outcome.bugs)
-            bug.graphSeqRepro = repro;
+            bug.repro = repro;
     }
     return outcome;
 }

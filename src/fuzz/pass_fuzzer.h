@@ -46,6 +46,10 @@
 
 namespace nnsmith::fuzz {
 
+/** Virtual cost of one TIR case (pass-sequence, corpus-guided or
+ *  Tzer): TIR-level cases are cheap to build and run. */
+inline constexpr VirtualMs kTirCaseCost = 500;
+
 /** Fuzzes randomized pass sequences against a differential oracle. */
 class PassSequenceFuzzer final : public Fuzzer {
   public:
@@ -56,12 +60,6 @@ class PassSequenceFuzzer final : public Fuzzer {
          * instance must be present in iterate()'s backend list).
          */
         std::string backend = "TVMLite";
-
-        /** Virtual cost per case (TIR cases are cheap, like Tzer's). */
-        VirtualMs caseCost = 500;
-
-        /** Max mutate() steps applied on top of randomProgram. */
-        int maxMutations = 3;
 
         /** Model generator knobs (graph-pass backends only). */
         gen::GeneratorConfig generator;
@@ -175,13 +173,13 @@ class GraphSequenceOracle {
 
 /**
  * The fuzzer's TIR case: record @p sequence's coverage bins, draw
- * initial buffers from @p rng and query the TirSequenceOracle.
- * Flagged records carry a SeqRepro. Shared by PassSequenceFuzzer and
- * the corpus-guided mutator (fuzz/mutator.h).
+ * initial buffers from @p rng and query the TirSequenceOracle, at
+ * kTirCaseCost. Flagged records carry a SeqRepro. Shared by
+ * PassSequenceFuzzer and the corpus-guided mutator (fuzz/mutator.h).
  */
 IterationOutcome runTirSequenceCase(const tirlite::TirProgram& program,
                                     const std::vector<std::string>& sequence,
-                                    VirtualMs case_cost, Rng& rng);
+                                    Rng& rng);
 
 /**
  * The fuzzer's graph-pass case: record @p sequence's coverage bins and

@@ -84,75 +84,22 @@ splitTokens(const std::string& line)
     return tokens;
 }
 
-std::vector<std::string>
-splitDefects(const std::string& list)
-{
-    std::vector<std::string> defects;
-    for (auto& token : splitTokens(list))
-        defects.push_back(std::move(token));
-    return defects;
-}
-
 bool
 startsWith(const std::string& s, const char* prefix)
 {
     return s.rfind(prefix, 0) == 0;
 }
 
-std::string
-expectField(Cursor& cursor, const char* prefix)
-{
-    const std::string line = cursor.line(prefix);
-    if (!startsWith(line, prefix))
-        fail(std::string("expected '") + prefix + "', got '" + line +
-             "'");
-    return line.substr(std::string(prefix).size());
-}
-
 /** Header-only document for a bug that carries no repro material. */
-std::string
-encodeBareBug(const BugRecord& bug)
-{
-    std::string out;
-    out += kWireBugMagic;
-    out += '\n';
-    out += corpus::schema::kFingerprint;
-    out += bug.dedupKey;
-    out += '\n';
-    out += corpus::schema::kBackend;
-    out += bug.backend;
-    out += '\n';
-    out += corpus::schema::kKind;
-    out += bug.kind;
-    out += '\n';
-    out += corpus::schema::kDetail;
-    out += bug.detail;
-    out += '\n';
-    out += corpus::schema::kDefects;
-    for (const auto& defect : bug.defects) {
-        out += ' ';
-        out += defect;
-    }
-    out += '\n';
-    return out;
-}
-
 BugRecord
 decodeBareBug(const std::string& text)
 {
     Cursor cursor{text};
     cursor.line("wire bug magic"); // already matched by the caller
-    BugRecord bug;
-    bug.dedupKey = expectField(cursor, corpus::schema::kFingerprint);
-    bug.backend = expectField(cursor, corpus::schema::kBackend);
-    bug.kind = expectField(cursor, corpus::schema::kKind);
-    bug.detail = expectField(cursor, corpus::schema::kDetail);
-    bug.defects =
-        splitDefects(expectField(cursor, corpus::schema::kDefects));
+    BugRecord bug = corpus::parseBugHeader(
+        [&](const char* what) { return cursor.line(what); });
     if (!cursor.done())
         fail("trailing content after a repro-less bug document");
-    if (bug.dedupKey.empty())
-        fail("repro-less bug document with an empty fingerprint");
     return bug;
 }
 
@@ -161,10 +108,9 @@ decodeBareBug(const std::string& text)
 std::string
 encodeBug(const BugRecord& bug)
 {
-    if (bug.graphRepro != nullptr || bug.seqRepro != nullptr ||
-        bug.graphSeqRepro != nullptr)
+    if (bug.repro != nullptr)
         return corpus::renderRepro(bug);
-    return encodeBareBug(bug);
+    return std::string(kWireBugMagic) + '\n' + corpus::renderBugHeader(bug);
 }
 
 BugRecord

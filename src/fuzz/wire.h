@@ -47,14 +47,16 @@ namespace nnsmith::fuzz::wire {
  * graph side re-runs the ONNX export, so callers mid-campaign must
  * scope the defect trace and drain their CoverageCollector
  * afterwards, as shard workers do); repro-less records render
- * as a header-only document.
+ * as a header-only document: a magic line plus the repro document's
+ * header lines (corpus::renderBugHeader).
  */
 std::string encodeBug(const BugRecord& bug);
 
 /**
  * Parse a wire bug document back into a replayable BugRecord —
- * corpus::parseRepro for repro documents, the header-only reader for
- * repro-less ones. Throws corpus::ParseError on malformed input.
+ * corpus::parseRepro for repro documents, corpus::parseBugHeader for
+ * repro-less ones, so both reject an empty fingerprint or an unknown
+ * kind. Throws corpus::ParseError on malformed input.
  */
 BugRecord decodeBug(const std::string& text);
 

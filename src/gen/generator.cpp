@@ -16,6 +16,20 @@ using symbolic::Pred;
 using tensor::DType;
 using tensor::TensorType;
 
+namespace {
+
+/** Give up after this many failed insertion attempts in a row. */
+constexpr int kMaxConsecutiveFailures = 64;
+
+/**
+ * When filling a forward-insertion input slot, probability of creating
+ * a fresh placeholder even though an existing value matches (keeps
+ * weight/input diversity up).
+ */
+constexpr double kFreshPlaceholderProb = 0.25;
+
+} // namespace
+
 int64_t
 GeneratorConfig::dimCapForRank(int rank) const
 {
@@ -191,7 +205,7 @@ GraphGenerator::forwardInsert(Session& session, const OpMeta& meta)
         for (int i = 0; i < op->numInputs(); ++i) {
             auto& candidates = per_slot[static_cast<size_t>(i)];
             const bool want_fresh =
-                candidates.empty() || rng_.chance(config_.freshPlaceholderProb);
+                candidates.empty() || rng_.chance(kFreshPlaceholderProb);
             // Force at least one existing pick on the last chance.
             const bool must_use_existing =
                 !used_existing && i == op->numInputs() - 1 &&
@@ -327,7 +341,7 @@ GraphGenerator::generate()
 
     int failures = 0;
     while (session.graph.numOpNodes() < config_.targetOpNodes &&
-           failures < config_.maxConsecutiveFailures) {
+           failures < kMaxConsecutiveFailures) {
         const OpMeta& meta = *candidates_[rng_.index(candidates_.size())];
         if (tryInsert(session, meta)) {
             failures = 0;

@@ -31,9 +31,6 @@ struct GeneratorConfig {
     /** Number of operator nodes to aim for (paper default: 10). */
     int targetOpNodes = 10;
 
-    /** Give up after this many failed insertion attempts in a row. */
-    int maxConsecutiveFailures = 64;
-
     /** Probability of forward (vs backward) insertion (paper: 0.5). */
     double forwardProb = 0.5;
 
@@ -43,13 +40,6 @@ struct GeneratorConfig {
 
     /** Which solver backend to use. */
     solver::SolverKind solverKind = solver::SolverKind::kAuto;
-
-    /**
-     * When filling a forward-insertion input slot, probability of
-     * creating a fresh placeholder even though an existing value
-     * matches (keeps weight/input diversity up).
-     */
-    double freshPlaceholderProb = 0.25;
 
     /** Restrict generation to these operators (empty = all). */
     std::vector<std::string> opAllowlist;

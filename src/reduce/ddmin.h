@@ -44,7 +44,7 @@ struct DdminStats {
  *
  * Preconditions: still_fails({0..n-1}) must be true — the caller
  * checks that the full set reproduces the defect before reducing
- * (reduce::minimizeBug does). The empty set is never tested.
+ * (reduce::minimizeBugs does). The empty set is never tested.
  *
  * @param max_tests stop after this many predicate evaluations and
  *        return the best subset found so far (0 = unlimited). The cut

@@ -1,8 +1,6 @@
 #include "reduce/reducer.h"
 
-#include <functional>
 #include <map>
-#include <optional>
 #include <set>
 
 #include "difftest/oracle.h"
@@ -84,7 +82,7 @@ using Records = std::vector<BugRecord>;
 
 /**
  * Memoized candidate evaluations, shared between the bug records of
- * one flagged case (they all carry the same GraphRepro but pin
+ * one flagged case (they all carry the same repro but pin
  * different fingerprints, so their ddmins probe overlapping kept-sets;
  * each oracle run is a full export + compile + execute). Keyed by the
  * producer-closed kept op-node set; nullptr records a candidate whose
@@ -93,12 +91,11 @@ using Records = std::vector<BugRecord>;
 using CaseCache = std::map<std::vector<int>, std::shared_ptr<const Records>>;
 
 bool
-minimizeGraphBug(BugRecord& bug,
+minimizeGraphBug(BugRecord& bug, const fuzz::GraphRepro& repro,
                  const std::vector<backends::Backend*>& backends,
                  const ReduceOptions& options, const Records& full_records,
                  CaseCache& cache)
 {
-    const auto& repro = *bug.graphRepro;
     const std::string target = fingerprintKey(bug);
     // The full case must reproduce its own fingerprint (deterministic
     // oracle; a mismatch means the record is not reducible as-is).
@@ -144,8 +141,7 @@ minimizeGraphBug(BugRecord& bug,
     auto reduced = fuzz::rebuildGraph(repro.graph, repro.leaves, keep);
     if (!reduced.has_value())
         return false; // no op to keep: a repro without ops
-    auto minimized =
-        std::make_shared<const fuzz::GraphRepro>(std::move(*reduced));
+    auto minimized = std::make_shared<const fuzz::Repro>(std::move(*reduced));
     // The minimized repro's own trigger trace and diagnostic detail
     // (what the report shows); bug.defects keeps the discovery-time
     // trace.
@@ -158,7 +154,7 @@ minimizeGraphBug(BugRecord& bug,
     }
     bug.originalSize = ops.size();
     bug.minimizedSize = keep.size();
-    bug.graphRepro = std::move(minimized);
+    bug.repro = std::move(minimized);
     bug.dedupKey = target;
     bug.minimized = true;
     return true;
@@ -167,18 +163,18 @@ minimizeGraphBug(BugRecord& bug,
 // ---- PassSequenceReducer --------------------------------------------------
 
 /**
- * ddmin @p sequence to the minimal subsequence on which @p query (the
- * repro kind's oracle) still flags @p bug's fingerprint, and record
- * the outcome on @p bug (sizes, the minimized run's own trigger trace,
- * the canonical key). Queries are memoized by subsequence. Returns
- * nullopt — leaving @p bug untouched — when the full sequence does not
- * flag the fingerprint.
+ * ddmin @p sequence to the minimal subsequence on which @p oracle (the
+ * repro kind's TirSequenceOracle or GraphSequenceOracle) still flags
+ * @p bug's fingerprint, shrink @p sequence to it, and record the
+ * outcome on @p bug (sizes, the minimized run's own trigger trace, the
+ * canonical key). Queries are memoized by subsequence. Returns false —
+ * leaving both untouched — when the full sequence does not flag the
+ * fingerprint.
  */
-std::optional<std::vector<std::string>>
-minimizeSequence(
-    BugRecord& bug, const std::vector<std::string>& sequence,
-    const std::function<Records(const std::vector<std::string>&)>& query,
-    const ReduceOptions& options)
+template <typename Oracle>
+bool
+minimizeSequence(BugRecord& bug, std::vector<std::string>& sequence,
+                 const Oracle& oracle, const ReduceOptions& options)
 {
     const std::string target = fingerprintKey(bug);
     std::map<std::vector<std::string>, Records> cache;
@@ -193,7 +189,7 @@ minimizeSequence(
         auto key = subsequence(kept);
         auto it = cache.find(key);
         if (it == cache.end()) {
-            Records records = query(key);
+            Records records = oracle.query(key);
             it = cache.emplace(std::move(key), std::move(records)).first;
         }
         return findFingerprint(it->second, target);
@@ -206,7 +202,7 @@ minimizeSequence(
     for (size_t i = 0; i < all.size(); ++i)
         all[i] = i;
     if (!still_fails(all))
-        return std::nullopt;
+        return false;
 
     DdminStats stats;
     const auto minimal =
@@ -218,59 +214,54 @@ minimizeSequence(
     bug.minimizedSize = minimal.size();
     bug.dedupKey = target;
     bug.minimized = true;
-    return subsequence(minimal);
-}
-
-bool
-minimizeSeqBug(BugRecord& bug, const ReduceOptions& options)
-{
-    auto repro = std::make_shared<fuzz::SeqRepro>(*bug.seqRepro);
-    const fuzz::TirSequenceOracle oracle(repro->program, repro->initial);
-    auto minimal = minimizeSequence(
-        bug, repro->sequence,
-        [&](const std::vector<std::string>& sequence) {
-            return oracle.query(sequence);
-        },
-        options);
-    if (!minimal)
-        return false;
-    repro->sequence = std::move(*minimal);
-    bug.seqRepro = std::move(repro);
+    sequence = subsequence(minimal);
     return true;
 }
 
-/** The graph-level analogue of minimizeSeqBug: the model, its export
- *  and its kO0 reference run are fixed once per repro; only the
- *  sequence shrinks. */
+/**
+ * Minimize a TIR or graph-pass sequence repro: the program (or the
+ * model, its export and its kO0 reference run) is fixed once per
+ * repro under the oracle of its kind; only the sequence shrinks.
+ */
 bool
-minimizeGraphSeqBug(BugRecord& bug, const ReduceOptions& options)
+minimizeSequenceBug(BugRecord& bug, const ReduceOptions& options)
 {
-    const auto& original = *bug.graphSeqRepro;
-    // Canonicalize the model up front: rebuild it with all op nodes
-    // kept, which renumbers value ids densely in topological order —
-    // the canonical form the corpus round-trip contract requires
-    // (graph reduction gets this for free from its kept-set rebuilds).
-    // The oracle runs against the canonical model below, so the
-    // repro's still-fires check covers the renumbering too.
-    auto canonical = fuzz::rebuildGraph(original.graph, original.leaves);
-    if (!canonical.has_value())
-        return false; // no op to keep: a repro without ops
-    auto repro = std::make_shared<fuzz::GraphSeqRepro>();
-    repro->graph = std::move(canonical->graph);
-    repro->leaves = std::move(canonical->leaves);
-    repro->sequence = original.sequence;
-    const fuzz::GraphSequenceOracle oracle(bug.backend, repro->graph,
-                                           repro->leaves);
-    auto minimal = minimizeSequence(
-        bug, repro->sequence,
-        [&](const std::vector<std::string>& sequence) {
-            return oracle.query(sequence);
-        },
-        options);
-    if (!minimal)
+    std::shared_ptr<fuzz::Repro> repro;
+    if (const auto* original =
+            std::get_if<fuzz::GraphSeqRepro>(bug.repro.get())) {
+        // Canonicalize the model up front: rebuild it with all op
+        // nodes kept, which renumbers value ids densely in topological
+        // order — the canonical form the corpus round-trip contract
+        // requires (graph reduction gets this for free from its
+        // kept-set rebuilds). The oracle runs against the canonical
+        // model below, so the repro's still-fires check covers the
+        // renumbering too.
+        auto canonical = fuzz::rebuildGraph(original->graph, original->leaves);
+        if (!canonical.has_value())
+            return false; // no op to keep: a repro without ops
+        repro = std::make_shared<fuzz::Repro>(
+            fuzz::GraphSeqRepro{std::move(canonical->graph),
+                                std::move(canonical->leaves),
+                                original->sequence});
+    } else {
+        repro = std::make_shared<fuzz::Repro>(*bug.repro);
+    }
+    bool shrunk;
+    if (auto* tir = std::get_if<fuzz::SeqRepro>(repro.get())) {
+        shrunk = minimizeSequence(
+            bug, tir->sequence,
+            fuzz::TirSequenceOracle(tir->program, tir->initial), options);
+    } else {
+        auto& graph_seq = std::get<fuzz::GraphSeqRepro>(*repro);
+        shrunk = minimizeSequence(
+            bug, graph_seq.sequence,
+            fuzz::GraphSequenceOracle(bug.backend, graph_seq.graph,
+                                      graph_seq.leaves),
+            options);
+    }
+    if (!shrunk)
         return false;
-    repro->sequence = std::move(*minimal);
-    bug.graphSeqRepro = std::move(repro);
+    bug.repro = std::move(repro);
     return true;
 }
 
@@ -285,7 +276,8 @@ fingerprintKey(const BugRecord& bug)
     // Only raw graph-level wrong-results carry the trigger trace in
     // their key — canonicalize it to the sorted relevant-defect set.
     if (bug.kind != "wrong-result" || bug.minimized ||
-        bug.seqRepro != nullptr || bug.graphSeqRepro != nullptr)
+        (bug.repro != nullptr &&
+         !std::holds_alternative<fuzz::GraphRepro>(*bug.repro)))
         return bug.dedupKey;
     const auto relevant = relevantSemanticDefects(bug.defects, bug.backend);
     if (relevant.empty())
@@ -317,20 +309,21 @@ rerunRepro(const BugRecord& bug,
            const std::vector<backends::Backend*>& backends)
 {
     ReproRun run;
-    if (bug.graphRepro != nullptr) {
-        const auto& repro = *bug.graphRepro;
+    if (bug.repro == nullptr)
+        return run;
+    if (const auto* graph = std::get_if<fuzz::GraphRepro>(bug.repro.get())) {
         run.records = fuzz::bugsFromCase(
-            difftest::runCase(repro.graph, repro.leaves, backends));
-    } else if (bug.graphSeqRepro != nullptr) {
-        const auto& repro = *bug.graphSeqRepro;
-        const fuzz::GraphSequenceOracle oracle(bug.backend, repro.graph,
-                                               repro.leaves);
+            difftest::runCase(graph->graph, graph->leaves, backends));
+    } else if (const auto* tir =
+                   std::get_if<fuzz::SeqRepro>(bug.repro.get())) {
+        run.records = fuzz::TirSequenceOracle(tir->program, tir->initial)
+                          .query(tir->sequence);
+    } else {
+        const auto& graph_seq = std::get<fuzz::GraphSeqRepro>(*bug.repro);
+        const fuzz::GraphSequenceOracle oracle(bug.backend, graph_seq.graph,
+                                               graph_seq.leaves);
         run.masked = oracle.masked();
-        run.records = oracle.query(repro.sequence);
-    } else if (bug.seqRepro != nullptr) {
-        const auto& repro = *bug.seqRepro;
-        run.records = fuzz::TirSequenceOracle(repro.program, repro.initial)
-                          .query(repro.sequence);
+        run.records = oracle.query(graph_seq.sequence);
     }
     return run;
 }
@@ -350,56 +343,52 @@ graphTargetReducible(const BugRecord& bug)
 
 } // namespace
 
-bool
-minimizeBug(BugRecord& bug,
-            const std::vector<backends::Backend*>& backends,
-            const ReduceOptions& options)
-{
-    if (bug.graphRepro != nullptr) {
-        if (!graphTargetReducible(bug))
-            return false;
-        CaseCache cache;
-        return minimizeGraphBug(bug, backends, options,
-                                rerunRepro(bug, backends).records, cache);
-    }
-    if (bug.graphSeqRepro != nullptr)
-        return minimizeGraphSeqBug(bug, options);
-    if (bug.seqRepro != nullptr)
-        return minimizeSeqBug(bug, options);
-    return false;
-}
-
 void
 minimizeBugs(std::vector<BugRecord>& bugs,
              const std::vector<backends::Backend*>& backends,
              const ReduceOptions& options)
 {
     obs::PhaseSpan span("minimize");
-    // All records of one flagged case share a GraphRepro; run the
-    // full-case precondition once and share the candidate cache, so
-    // per-record ddmins do not repeat each other's oracle runs.
+    // All records of one flagged case share a repro; for a graph case,
+    // run the full-case precondition once and share the candidate
+    // cache, so per-record ddmins do not repeat each other's oracle
+    // runs.
     struct SharedRepro {
         std::shared_ptr<const Records> full;
         CaseCache cache;
     };
-    std::map<const fuzz::GraphRepro*, SharedRepro> shared;
+    std::map<const fuzz::Repro*, SharedRepro> shared;
     for (auto& bug : bugs) {
-        if (bug.graphRepro != nullptr) {
-            if (!graphTargetReducible(bug))
-                continue;
-            auto& state = shared[bug.graphRepro.get()];
-            if (state.full == nullptr) {
-                state.full = std::make_shared<Records>(
-                    rerunRepro(bug, backends).records);
-            }
-            minimizeGraphBug(bug, backends, options, *state.full,
-                             state.cache);
-        } else if (bug.graphSeqRepro != nullptr) {
-            minimizeGraphSeqBug(bug, options);
-        } else if (bug.seqRepro != nullptr) {
-            minimizeSeqBug(bug, options);
+        if (bug.repro == nullptr)
+            continue;
+        const auto* graph = std::get_if<fuzz::GraphRepro>(bug.repro.get());
+        if (graph == nullptr) {
+            minimizeSequenceBug(bug, options);
+            continue;
         }
+        if (!graphTargetReducible(bug))
+            continue;
+        auto& state = shared[bug.repro.get()];
+        if (state.full == nullptr) {
+            state.full = std::make_shared<Records>(
+                rerunRepro(bug, backends).records);
+        }
+        minimizeGraphBug(bug, *graph, backends, options, *state.full,
+                         state.cache);
     }
+}
+
+bool
+minimizeBug(BugRecord& bug,
+            const std::vector<backends::Backend*>& backends,
+            const ReduceOptions& options)
+{
+    // Every successful minimization installs a fresh repro.
+    const auto original = bug.repro;
+    std::vector<BugRecord> one = {bug};
+    minimizeBugs(one, backends, options);
+    bug = std::move(one.front());
+    return bug.repro != original;
 }
 
 bool

@@ -1,10 +1,13 @@
 /**
  * @file
- * Defect reduction: ddmin over computation graphs and TIR pass
- * sequences, keyed by defect-trace fingerprints (paper §5.4's
- * "turn a flagged iteration into an actionable repro" workflow).
+ * Defect reduction: ddmin over computation graphs and pass sequences,
+ * keyed by defect-trace fingerprints (paper §5.4's "turn a flagged
+ * iteration into an actionable repro" workflow).
  *
- * Two engines share the ddmin core (reduce/ddmin.h):
+ * A bug record's one repro slot (fuzz::Repro: a graph case, a TIR
+ * sequence or a graph-pass sequence) selects the engine; minimizeBugs
+ * is the entry point and keys its per-case state on the shared repro
+ * pointer. Two engines share the ddmin core (reduce/ddmin.h):
  *
  *  - **GraphReducer** delta-debugs a flagged Graph by removing op
  *    nodes (candidate kept-sets are closed over producers so the
@@ -104,24 +107,26 @@ ReproRun rerunRepro(const fuzz::BugRecord& bug,
                     const std::vector<backends::Backend*>& backends);
 
 /**
- * Minimize one flagged bug record in place: ddmin its repro (graph or
- * pass sequence), replace the repro with the minimized one, fill
- * originalSize/minimizedSize/minimizedDefects (the minimized repro's
- * own trigger trace; `defects` keeps the discovery-time one), and
- * rewrite dedupKey to fingerprintKey.
- * Returns false — leaving the record untouched — when the bug carries
- * no repro or the full repro does not reproduce its fingerprint.
+ * Minimize an iteration outcome's bug records in place: ddmin each
+ * record's repro (graph or pass sequence), replace the repro with a
+ * fresh minimized one, fill originalSize/minimizedSize/
+ * minimizedDefects (the minimized repro's own trigger trace; `defects`
+ * keeps the discovery-time one), and rewrite dedupKey to
+ * fingerprintKey. A record is left untouched when it carries no repro
+ * or its full repro does not reproduce its fingerprint. Records that
+ * share a graph repro share its full-case run and candidate cache.
  * @p backends is the list the flagged case ran against (graph bugs
  * re-run the oracle on it; sequence bugs need none).
  */
-bool minimizeBug(fuzz::BugRecord& bug,
-                 const std::vector<backends::Backend*>& backends,
-                 const ReduceOptions& options = ReduceOptions());
-
-/** minimizeBug over a whole iteration outcome's records. */
 void minimizeBugs(std::vector<fuzz::BugRecord>& bugs,
                   const std::vector<backends::Backend*>& backends,
                   const ReduceOptions& options = ReduceOptions());
+
+/** minimizeBugs on the one record @p bug; true when it was minimized
+ *  (its repro replaced). */
+bool minimizeBug(fuzz::BugRecord& bug,
+                 const std::vector<backends::Backend*>& backends,
+                 const ReduceOptions& options = ReduceOptions());
 
 /**
  * Does a (minimized) bug's repro still fire its fingerprint? rerunRepro

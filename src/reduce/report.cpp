@@ -78,8 +78,7 @@ writeReproReports(const std::map<std::string, BugRecord>& bugs,
 
     std::vector<ReportEntry> entries;
     for (const auto& [key, bug] : bugs) {
-        if (bug.graphRepro == nullptr && bug.seqRepro == nullptr &&
-            bug.graphSeqRepro == nullptr)
+        if (bug.repro == nullptr)
             continue;
         ReportEntry entry;
         entry.fingerprint = key;

@@ -109,12 +109,13 @@ TEST(BatchedExec, MatchesSequentialOnGoldenCorpusGraphs)
             (std::filesystem::path(dir) / entry.file).string()));
         const graph::Graph* graph = nullptr;
         const exec::LeafValues* recorded = nullptr;
-        if (bug.graphRepro) {
-            graph = &bug.graphRepro->graph;
-            recorded = &bug.graphRepro->leaves;
-        } else if (bug.graphSeqRepro) {
-            graph = &bug.graphSeqRepro->graph;
-            recorded = &bug.graphSeqRepro->leaves;
+        if (const auto* g = std::get_if<fuzz::GraphRepro>(bug.repro.get())) {
+            graph = &g->graph;
+            recorded = &g->leaves;
+        } else if (const auto* seq =
+                       std::get_if<fuzz::GraphSeqRepro>(bug.repro.get())) {
+            graph = &seq->graph;
+            recorded = &seq->leaves;
         } else {
             continue; // TIR-only repro: no graph to batch
         }

@@ -132,7 +132,8 @@ TEST(CorpusRoundTrip, SequenceCampaignSerializeParseReserialize)
         for (const auto& entry : entries) {
             const std::string text = readFile(dir / entry.file);
             const auto bug = corpus::parseRepro(text);
-            ASSERT_NE(bug.seqRepro, nullptr) << entry.file;
+            ASSERT_TRUE(std::holds_alternative<fuzz::SeqRepro>(*bug.repro))
+                << entry.file;
             EXPECT_EQ(corpus::renderRepro(bug), text) << entry.file;
         }
         const auto replay = corpus::replayCorpus(dir.string(), {});
@@ -168,9 +169,10 @@ TEST(CorpusRoundTrip, GraphSequenceCampaignSerializeParseReserialize)
     for (const auto& entry : entries) {
         const std::string text = readFile(dir / entry.file);
         const auto bug = corpus::parseRepro(text);
-        ASSERT_NE(bug.graphSeqRepro, nullptr) << entry.file;
+        const auto* repro = std::get_if<fuzz::GraphSeqRepro>(bug.repro.get());
+        ASSERT_NE(repro, nullptr) << entry.file;
         EXPECT_EQ(bug.backend, "OrtLite");
-        EXPECT_FALSE(bug.graphSeqRepro->sequence.empty());
+        EXPECT_FALSE(repro->sequence.empty());
         EXPECT_EQ(corpus::renderRepro(bug), text) << entry.file;
     }
     const auto replay = corpus::replayCorpus(dir.string(), {});
@@ -291,9 +293,9 @@ TEST(CorpusParser, GraphSequenceReproErrors)
                ".repro.txt");
     ASSERT_FALSE(text.empty());
     const auto bug = corpus::parseRepro(text);
-    ASSERT_NE(bug.graphSeqRepro, nullptr);
-    EXPECT_EQ(bug.graphSeqRepro->sequence,
-              std::vector<std::string>{"fuse.matmul_scale"});
+    const auto* repro = std::get_if<fuzz::GraphSeqRepro>(bug.repro.get());
+    ASSERT_NE(repro, nullptr);
+    EXPECT_EQ(repro->sequence, std::vector<std::string>{"fuse.matmul_scale"});
 
     auto mutate = [&](const std::string& from, const std::string& to) {
         const auto at = text.find(from);
@@ -333,6 +335,24 @@ TEST(CorpusParser, GraphSequenceReproErrors)
     // An empty sequence is not a repro.
     EXPECT_THROW(corpus::parseRepro(mutate("fuse.matmul_scale\n", "\n")),
                  ParseError);
+}
+
+TEST(CorpusParser, EmptyFingerprintIsAnError)
+{
+    // Replay and dedup key off the fingerprint line, so a repro
+    // without one is malformed, like a repro-less wire document.
+    const std::filesystem::path data =
+        std::filesystem::path(NNSMITH_TEST_DATA_DIR) / "corpus";
+    std::string text = readFile(
+        data / "OrtLite_crash_ort.fuse.matmul_scale_1x1-b8451f53"
+               ".repro.txt");
+    ASSERT_NO_THROW(corpus::parseRepro(text));
+    const std::string line =
+        "fingerprint: OrtLite|crash|ort.fuse.matmul_scale_1x1\n";
+    const auto at = text.find(line);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, line.size(), "fingerprint: \n");
+    EXPECT_THROW(corpus::parseRepro(text), ParseError);
 }
 
 TEST(CorpusParser, IndexTsvErrors)
@@ -396,10 +416,7 @@ TEST(CorpusParser, MutatedReproFilesNeverCrashTheParser)
     auto try_parse = [&](const std::string& text) {
         ++attempts;
         try {
-            const auto bug = corpus::parseRepro(text);
-            EXPECT_TRUE(bug.graphRepro != nullptr ||
-                        bug.seqRepro != nullptr ||
-                        bug.graphSeqRepro != nullptr);
+            EXPECT_NE(corpus::parseRepro(text).repro, nullptr);
         } catch (const ParseError&) {
             // structured failure: exactly what malformed input owes us
         }
@@ -492,13 +509,12 @@ TEST(CorpusReplay, CleanGraphClassifiesAsFixed)
     bug.dedupKey = "OrtLite|crash|ort.bogus.kind";
     bug.backend = "OrtLite";
     bug.kind = "crash";
-    auto repro = std::make_shared<fuzz::GraphRepro>();
-    const int v = repro->graph.addLeaf(
+    fuzz::GraphRepro repro;
+    const int v = repro.graph.addLeaf(
         graph::NodeKind::kInput,
         tensor::TensorType::concrete(tensor::DType::kF32, {{2}}), "x");
-    repro->leaves.emplace(
-        v, tensor::Tensor::fromVector<float>({1.0f, 2.0f}));
-    bug.graphRepro = std::move(repro);
+    repro.leaves.emplace(v, tensor::Tensor::fromVector<float>({1.0f, 2.0f}));
+    bug.repro = std::make_shared<const fuzz::Repro>(std::move(repro));
 
     auto owned = difftest::makeAllBackends();
     const auto outcome = corpus::replayRepro(bug, borrow(owned));
@@ -525,9 +541,9 @@ TEST(CorpusReplay, ShiftedSequenceCrashClassifiesAsChanged)
     EXPECT_EQ(outcome.detail, "TVMLite|crash|tvm.tir.cse_load");
 
     // Same record with a sequence that triggers nothing -> "fixed".
-    auto defused = std::make_shared<fuzz::SeqRepro>(*bug.seqRepro);
-    defused->sequence = {"fold"};
-    bug.seqRepro = std::move(defused);
+    auto defused = std::get<fuzz::SeqRepro>(*bug.repro);
+    defused.sequence = {"fold"};
+    bug.repro = std::make_shared<const fuzz::Repro>(std::move(defused));
     bug.dedupKey = "TVMLite|crash|tvm.tir.cse_load";
     outcome = corpus::replayRepro(bug, {});
     EXPECT_EQ(outcome.status, ReplayStatus::kFixed);
@@ -550,15 +566,16 @@ TEST(CorpusReplay, GraphSequenceReproClassifiesEveryVerdict)
         return corpus::parseRepro(readFile(data / entry->file));
     };
     const auto bug = parse("OrtLite|wrong|ort.simplify.slice_noop");
-    ASSERT_NE(bug.graphSeqRepro, nullptr);
+    ASSERT_TRUE(std::holds_alternative<fuzz::GraphSeqRepro>(*bug.repro));
+    const auto& graph_seq = std::get<fuzz::GraphSeqRepro>(*bug.repro);
     EXPECT_EQ(corpus::replayRepro(bug, {}).status,
               ReplayStatus::kStillFires);
 
     // A sequence without the firing pass runs clean -> "fixed".
     auto defused = bug;
-    auto repro = std::make_shared<fuzz::GraphSeqRepro>(*bug.graphSeqRepro);
-    repro->sequence = {"fuse.matmul_add_gemm"};
-    defused.graphSeqRepro = repro;
+    auto repro = graph_seq;
+    repro.sequence = {"fuse.matmul_add_gemm"};
+    defused.repro = std::make_shared<const fuzz::Repro>(std::move(repro));
     EXPECT_EQ(corpus::replayRepro(defused, {}).status,
               ReplayStatus::kFixed);
 
@@ -571,13 +588,11 @@ TEST(CorpusReplay, GraphSequenceReproClassifiesEveryVerdict)
     // A model whose export crashes never reaches the pass stage: the
     // recorded defect is masked, which is "changed", not "fixed".
     const auto exporter = parse("Exporter|crash|export.scalar");
-    ASSERT_NE(exporter.graphRepro, nullptr);
+    const auto* exported = std::get_if<fuzz::GraphRepro>(exporter.repro.get());
+    ASSERT_NE(exported, nullptr);
     auto masked = bug;
-    auto masked_repro =
-        std::make_shared<fuzz::GraphSeqRepro>(*bug.graphSeqRepro);
-    masked_repro->graph = exporter.graphRepro->graph;
-    masked_repro->leaves = exporter.graphRepro->leaves;
-    masked.graphSeqRepro = masked_repro;
+    masked.repro = std::make_shared<const fuzz::Repro>(fuzz::GraphSeqRepro{
+        exported->graph, exported->leaves, graph_seq.sequence});
     EXPECT_EQ(corpus::replayRepro(masked, {}).status,
               ReplayStatus::kChanged);
 }

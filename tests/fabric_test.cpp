@@ -178,6 +178,36 @@ TEST(Fabric, BareBugDocumentsRoundTrip)
     EXPECT_EQ(wire::encodeBug(back), encoded);
 }
 
+TEST(Fabric, BareBugHeaderIsCheckedLikeAReproHeader)
+{
+    // Repro-less documents share the repro documents' header lines and
+    // their checks: a non-empty fingerprint and a known kind.
+    fuzz::BugRecord bug;
+    bug.dedupKey = "SomeBackend|crash|case-17";
+    bug.backend = "SomeBackend";
+    bug.kind = "crash";
+    bug.detail = "d";
+    bug.defects = {"D1"};
+    const std::string encoded = wire::encodeBug(bug);
+    EXPECT_EQ(encoded, "# nnsmith wire bug (no repro)\n"
+                       "fingerprint: SomeBackend|crash|case-17\n"
+                       "backend: SomeBackend\n"
+                       "kind: crash\n"
+                       "detail: d\n"
+                       "defects: D1\n");
+    auto edit = [&](const std::string& from, const std::string& to) {
+        std::string text = encoded;
+        const auto at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return text.replace(at, from.size(), to);
+    };
+    EXPECT_THROW(wire::decodeBug(edit("kind: crash", "kind: bogus")),
+                 corpus::ParseError);
+    EXPECT_THROW(wire::decodeBug(edit("fingerprint: SomeBackend|crash|case-17",
+                                      "fingerprint: ")),
+                 corpus::ParseError);
+}
+
 // ---------------------------------------------------------------------------
 // Malformed input: structured errors, never crashes
 // ---------------------------------------------------------------------------

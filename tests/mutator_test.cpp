@@ -52,8 +52,21 @@ std::string
 renderAs(const fuzz::BugRecord& bug, const fuzz::GraphRepro& repro)
 {
     fuzz::BugRecord out = bug;
-    out.graphRepro = std::make_shared<const fuzz::GraphRepro>(repro);
+    out.repro = std::make_shared<const fuzz::Repro>(repro);
     return corpus::renderRepro(out);
+}
+
+/** The graph cases among @p pool's seeds, in pool order. */
+std::vector<fuzz::GraphRepro>
+graphSeeds(const fuzz::MutationPool& pool)
+{
+    std::vector<fuzz::GraphRepro> out;
+    for (const auto& seed : pool.seeds()) {
+        if (const auto* graph =
+                std::get_if<fuzz::GraphRepro>(seed.repro.get()))
+            out.push_back(*graph);
+    }
+    return out;
 }
 
 /** The first graph repro of the golden corpus (a rendering template). */
@@ -63,7 +76,7 @@ goldenGraphBug()
     for (const auto& entry : corpus::loadCorpusIndex(goldenDir())) {
         auto bug = corpus::parseRepro(corpus::readCorpusFile(
             (std::filesystem::path(goldenDir()) / entry.file).string()));
-        if (bug.graphRepro != nullptr)
+        if (std::holds_alternative<fuzz::GraphRepro>(*bug.repro))
             return bug;
     }
     ADD_FAILURE() << "golden corpus has no graph repro";
@@ -211,22 +224,44 @@ TEST(Rebuild, UntypeableOverrideIsNullopt)
 TEST(Mutator, PoolLoadsEveryGoldenEntryAndKind)
 {
     const auto pool = fuzz::MutationPool::fromCorpusDir(goldenDir());
-    EXPECT_EQ(pool.size(),
-              corpus::loadCorpusIndex(goldenDir()).size());
-    // The golden corpus spans all three repro kinds, so the pool must
-    // offer graph, TIR-sequence, and graph-sequence seeds.
-    EXPECT_FALSE(pool.graphSeeds().empty());
-    EXPECT_FALSE(pool.tirSeqSeeds().empty());
-    EXPECT_FALSE(pool.graphSeqSeeds().empty());
-    EXPECT_FALSE(pool.empty());
+    const auto index = corpus::loadCorpusIndex(goldenDir());
+    ASSERT_EQ(pool.seeds().size(), index.size());
+    std::vector<fuzz::BugRecord> parsed;
+    for (const auto& entry : index) {
+        parsed.push_back(corpus::parseRepro(corpus::readCorpusFile(
+            (std::filesystem::path(goldenDir()) / entry.file).string())));
+    }
+    // The pool is kind-major in fuzz::Repro's alternative order (graph,
+    // TIR sequence, graph-pass sequence) and keeps index.tsv order
+    // within a kind: the order guided draws index into. The golden
+    // index interleaves the kinds, so this is not index order.
+    std::vector<std::string> want;
+    for (size_t kind = 0; kind < std::variant_size_v<fuzz::Repro>; ++kind) {
+        const size_t before = want.size();
+        for (const auto& bug : parsed) {
+            if (bug.repro->index() == kind)
+                want.push_back(bug.dedupKey);
+        }
+        // The golden corpus spans all three repro kinds.
+        EXPECT_GT(want.size(), before) << "no seed of kind " << kind;
+    }
+    std::vector<std::string> got;
+    for (const auto& seed : pool.seeds())
+        got.push_back(seed.dedupKey);
+    EXPECT_EQ(got, want);
+    std::vector<std::string> index_order;
+    for (const auto& bug : parsed)
+        index_order.push_back(bug.dedupKey);
+    EXPECT_NE(got, index_order);
 }
 
 TEST(Mutator, GraphMutationIsSeedDeterministic)
 {
-    const auto pool = fuzz::MutationPool::fromCorpusDir(goldenDir());
-    ASSERT_FALSE(pool.graphSeeds().empty());
+    const auto seeds =
+        graphSeeds(fuzz::MutationPool::fromCorpusDir(goldenDir()));
+    ASSERT_FALSE(seeds.empty());
     uint64_t salt = 0;
-    for (const auto& seed_case : pool.graphSeeds()) {
+    for (const auto& seed_case : seeds) {
         for (uint64_t s = 0; s < 16; ++s) {
             Rng a(1000 + salt + s), b(1000 + salt + s);
             expectSameCase(fuzz::mutateGraphCase(seed_case, a),
@@ -237,7 +272,7 @@ TEST(Mutator, GraphMutationIsSeedDeterministic)
     // Different seeds must actually explore: across the pool, at least
     // one pair of seeds yields structurally different mutants.
     bool diverged = false;
-    for (const auto& seed_case : pool.graphSeeds()) {
+    for (const auto& seed_case : seeds) {
         Rng a(1), b(2);
         diverged = diverged ||
                    fuzz::mutateGraphCase(seed_case, a).graph.toString() !=
@@ -248,18 +283,24 @@ TEST(Mutator, GraphMutationIsSeedDeterministic)
 
 TEST(Mutator, SequenceMutationIsSeedDeterministic)
 {
+    // TVMLite seeds are TIR sequences, OrtLite/TrtLite seeds graph-pass
+    // sequences; the seed's backend names the registry either way.
     const auto pool = fuzz::MutationPool::fromCorpusDir(goldenDir());
-    for (const auto& seed : pool.tirSeqSeeds()) {
+    size_t sequences = 0;
+    for (const auto& seed : pool.seeds()) {
+        const auto* tir = std::get_if<fuzz::SeqRepro>(seed.repro.get());
+        const auto* graph_seq =
+            std::get_if<fuzz::GraphSeqRepro>(seed.repro.get());
+        if (tir == nullptr && graph_seq == nullptr)
+            continue;
+        ++sequences;
+        const auto& sequence =
+            tir != nullptr ? tir->sequence : graph_seq->sequence;
         Rng a(7), b(7);
-        EXPECT_EQ(backends::mutatePassSequence("TVMLite", seed.sequence, a),
-                  backends::mutatePassSequence("TVMLite", seed.sequence, b));
+        EXPECT_EQ(backends::mutatePassSequence(seed.backend, sequence, a),
+                  backends::mutatePassSequence(seed.backend, sequence, b));
     }
-    for (const auto& seed : pool.graphSeqSeeds()) {
-        Rng a(7), b(7);
-        EXPECT_EQ(
-            backends::mutatePassSequence(seed.backend, seed.sequence, a),
-            backends::mutatePassSequence(seed.backend, seed.sequence, b));
-    }
+    EXPECT_GT(sequences, 0u);
 }
 
 TEST(Mutator, FiveHundredMutantsAllValidate)
@@ -268,10 +309,10 @@ TEST(Mutator, FiveHundredMutantsAllValidate)
     // mutants of mutants, where drift compounds — passes
     // graph/validate, so corpus-guided campaigns never execute an
     // ill-typed case.
-    const auto pool = fuzz::MutationPool::fromCorpusDir(goldenDir());
-    ASSERT_FALSE(pool.graphSeeds().empty());
+    std::vector<fuzz::GraphRepro> frontier =
+        graphSeeds(fuzz::MutationPool::fromCorpusDir(goldenDir()));
+    ASSERT_FALSE(frontier.empty());
     Rng rng(2023);
-    std::vector<fuzz::GraphRepro> frontier = pool.graphSeeds();
     size_t checked = 0;
     while (checked < 500) {
         for (auto& seed_case : frontier) {
@@ -328,11 +369,12 @@ TEST(Mutator, MutantReprosRoundTripByteIdentically)
         const std::string path =
             (std::filesystem::path(dir) / entry.file).string();
         auto bug = corpus::parseRepro(corpus::readCorpusFile(path));
-        if (bug.graphRepro == nullptr)
+        const auto* graph = std::get_if<fuzz::GraphRepro>(bug.repro.get());
+        if (graph == nullptr)
             continue;
         ++graph_repros;
         Rng rng(31 + salt++);
-        fuzz::GraphRepro seed_case = *bug.graphRepro;
+        fuzz::GraphRepro seed_case = *graph;
         for (int k = 0; k < 8; ++k) {
             seed_case = fuzz::mutateGraphCase(seed_case, rng);
             const std::string rendered = renderAs(bug, seed_case);

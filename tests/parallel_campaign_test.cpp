@@ -475,7 +475,8 @@ TEST(ParallelCampaign, RenderingCoversEveryFieldButTelemetry)
     const std::string text = renderCampaignResult(result);
     const auto with_leaves = std::find_if(
         result.bugs.begin(), result.bugs.end(), [](const auto& entry) {
-            const auto& repro = entry.second.graphRepro;
+            const auto* repro =
+                std::get_if<fuzz::GraphRepro>(entry.second.repro.get());
             return repro != nullptr && !repro->leaves.empty() &&
                    repro->leaves.begin()->second.numel() > 0;
         });
@@ -483,11 +484,10 @@ TEST(ParallelCampaign, RenderingCoversEveryFieldButTelemetry)
     const std::string key = with_leaves->first;
 
     auto leaf = result;
-    auto repro =
-        std::make_shared<fuzz::GraphRepro>(*leaf.bugs[key].graphRepro);
-    auto& tensor = repro->leaves.begin()->second;
+    auto repro = std::get<fuzz::GraphRepro>(*leaf.bugs[key].repro);
+    auto& tensor = repro.leaves.begin()->second;
     tensor.setScalar(0, tensor.scalarAt(0) == 0.0 ? 1.0 : 0.0);
-    leaf.bugs[key].graphRepro = repro;
+    leaf.bugs[key].repro = std::make_shared<const fuzz::Repro>(repro);
     EXPECT_NE(renderCampaignResult(leaf), text);
 
     auto detail = result;

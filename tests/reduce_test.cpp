@@ -125,6 +125,13 @@ TEST(Fingerprint, CrashKeysPassThrough)
 
 // ---- graph reduction ------------------------------------------------------
 
+/** @p bug's repro as a graph case; throws when it is another kind. */
+const fuzz::GraphRepro&
+graphOf(const BugRecord& bug)
+{
+    return std::get<fuzz::GraphRepro>(*bug.repro);
+}
+
 struct Flagged {
     BugRecord bug;
     std::vector<std::unique_ptr<backends::Backend>> owned;
@@ -149,7 +156,7 @@ findFlaggedGraphCase(uint64_t seed_base)
         if (outcome.bugs.empty())
             continue;
         flagged.bug = outcome.bugs.front();
-        EXPECT_NE(flagged.bug.graphRepro, nullptr);
+        EXPECT_NE(flagged.bug.repro, nullptr);
         return flagged;
     }
     ADD_FAILURE() << "no flagged graph case in 200 iterations";
@@ -159,28 +166,28 @@ findFlaggedGraphCase(uint64_t seed_base)
 TEST(GraphReducer, MinimizedReproValidatesAndFiresSameFingerprint)
 {
     Flagged flagged = findFlaggedGraphCase(9000);
-    ASSERT_NE(flagged.bug.graphRepro, nullptr);
-    const auto original = flagged.bug.graphRepro;
+    ASSERT_NE(flagged.bug.repro, nullptr);
+    const auto original = flagged.bug.repro;
 
     ASSERT_TRUE(reduce::minimizeBug(flagged.bug, flagged.backends));
-    ASSERT_NE(flagged.bug.graphRepro, nullptr);
+    ASSERT_NE(flagged.bug.repro, nullptr);
+    const auto& minimized = graphOf(flagged.bug);
     EXPECT_TRUE(flagged.bug.minimized);
     EXPECT_GT(flagged.bug.originalSize, 0u);
     EXPECT_LE(flagged.bug.minimizedSize, flagged.bug.originalSize);
     EXPECT_EQ(flagged.bug.originalSize,
-              static_cast<size_t>(original->graph.numOpNodes()));
-    EXPECT_EQ(flagged.bug.minimizedSize,
               static_cast<size_t>(
-                  flagged.bug.graphRepro->graph.numOpNodes()));
+                  std::get<fuzz::GraphRepro>(*original).graph.numOpNodes()));
+    EXPECT_EQ(flagged.bug.minimizedSize,
+              static_cast<size_t>(minimized.graph.numOpNodes()));
     // The minimized repro is a valid model that re-triggers the
     // identical defect-trace fingerprint.
-    EXPECT_TRUE(graph::validate(flagged.bug.graphRepro->graph).ok());
+    EXPECT_TRUE(graph::validate(minimized.graph).ok());
     EXPECT_TRUE(reduce::reproStillFires(flagged.bug, flagged.backends));
     // minimizedDefects is the minimized repro's own trace: re-running
     // the oracle on the minimized case must reproduce it exactly
     // (bug.defects keeps the discovery-time trace).
-    const auto rerun = difftest::runCase(flagged.bug.graphRepro->graph,
-                                         flagged.bug.graphRepro->leaves,
+    const auto rerun = difftest::runCase(minimized.graph, minimized.leaves,
                                          flagged.backends);
     EXPECT_EQ(rerun.triggeredDefects, flagged.bug.minimizedDefects);
 }
@@ -188,7 +195,7 @@ TEST(GraphReducer, MinimizedReproValidatesAndFiresSameFingerprint)
 TEST(GraphReducer, DeterministicAndIdempotent)
 {
     Flagged flagged = findFlaggedGraphCase(9300);
-    ASSERT_NE(flagged.bug.graphRepro, nullptr);
+    ASSERT_NE(flagged.bug.repro, nullptr);
 
     BugRecord first = flagged.bug;
     BugRecord second = flagged.bug;
@@ -196,15 +203,15 @@ TEST(GraphReducer, DeterministicAndIdempotent)
     ASSERT_TRUE(reduce::minimizeBug(second, flagged.backends));
     EXPECT_EQ(first.dedupKey, second.dedupKey);
     EXPECT_EQ(first.minimizedSize, second.minimizedSize);
-    EXPECT_EQ(first.graphRepro->graph.toString(),
-              second.graphRepro->graph.toString());
+    EXPECT_EQ(graphOf(first).graph.toString(),
+              graphOf(second).graph.toString());
 
     // Reducing the minimized repro again cannot shrink it further.
     BugRecord again = first;
     ASSERT_TRUE(reduce::minimizeBug(again, flagged.backends));
     EXPECT_EQ(again.minimizedSize, first.minimizedSize);
-    EXPECT_EQ(again.graphRepro->graph.toString(),
-              first.graphRepro->graph.toString());
+    EXPECT_EQ(graphOf(again).graph.toString(),
+              graphOf(first).graph.toString());
 }
 
 // ---- pass-sequence reduction ----------------------------------------------
@@ -218,7 +225,9 @@ findFlaggedSequence(uint64_t seed_base)
         IterationOutcome outcome = fuzzer.iterate({});
         if (outcome.bugs.empty())
             continue;
-        EXPECT_NE(outcome.bugs.front().seqRepro, nullptr);
+        const auto& repro = outcome.bugs.front().repro;
+        EXPECT_TRUE(repro != nullptr &&
+                    std::holds_alternative<fuzz::SeqRepro>(*repro));
         return outcome.bugs.front();
     }
     ADD_FAILURE() << "no flagged pass sequence in 2000 iterations";
@@ -240,18 +249,20 @@ isSubsequence(const std::vector<std::string>& sub,
 TEST(PassSequenceReducer, MinimalFailingSubsequence)
 {
     BugRecord bug = findFlaggedSequence(100);
-    ASSERT_NE(bug.seqRepro, nullptr);
-    const auto original = bug.seqRepro;
+    ASSERT_NE(bug.repro, nullptr);
+    const auto original = bug.repro;
+    const auto& original_sequence =
+        std::get<fuzz::SeqRepro>(*original).sequence;
     const std::string original_key = bug.dedupKey;
 
     ASSERT_TRUE(reduce::minimizeBug(bug, {}));
+    const auto& sequence = std::get<fuzz::SeqRepro>(*bug.repro).sequence;
     EXPECT_TRUE(bug.minimized);
-    EXPECT_EQ(bug.originalSize, original->sequence.size());
+    EXPECT_EQ(bug.originalSize, original_sequence.size());
     EXPECT_LE(bug.minimizedSize, bug.originalSize);
     EXPECT_GE(bug.minimizedSize, 1u);
     // Minimization keeps pass order: the result is a subsequence.
-    EXPECT_TRUE(
-        isSubsequence(bug.seqRepro->sequence, original->sequence));
+    EXPECT_TRUE(isSubsequence(sequence, original_sequence));
     // Sequence keys are already canonical; reduction must not change
     // the bug's identity.
     EXPECT_EQ(bug.dedupKey, original_key);
@@ -260,7 +271,7 @@ TEST(PassSequenceReducer, MinimalFailingSubsequence)
     BugRecord again = bug;
     ASSERT_TRUE(reduce::minimizeBug(again, {}));
     EXPECT_EQ(again.minimizedSize, bug.minimizedSize);
-    EXPECT_EQ(again.seqRepro->sequence, bug.seqRepro->sequence);
+    EXPECT_EQ(std::get<fuzz::SeqRepro>(*again.repro).sequence, sequence);
 }
 
 TEST(PassSequenceReducer, FlaggedBugsRefireAndReplayBeforeAndAfterMinimizing)
@@ -369,12 +380,13 @@ TEST(MinimizingCampaign, FlaggedBugsAreMinimizedAndRefire)
     std::vector<backends::Backend*> ort = {owned[0].get()};
     size_t with_repro = 0;
     for (const auto& [key, bug] : result.bugs) {
-        if (bug.graphRepro == nullptr)
+        const auto* graph = std::get_if<fuzz::GraphRepro>(bug.repro.get());
+        if (graph == nullptr)
             continue;
         ++with_repro;
         EXPECT_TRUE(bug.minimized) << key;
         EXPECT_LE(bug.minimizedSize, bug.originalSize) << key;
-        EXPECT_TRUE(graph::validate(bug.graphRepro->graph).ok()) << key;
+        EXPECT_TRUE(graph::validate(graph->graph).ok()) << key;
         EXPECT_TRUE(reduce::reproStillFires(bug, ort)) << key;
     }
     EXPECT_GT(with_repro, 0u);
@@ -394,7 +406,7 @@ TEST(ReproReport, WritesOneFilePerBugPlusIndex)
 
     size_t with_repro = 0;
     for (const auto& [key, bug] : result.bugs) {
-        if (bug.graphRepro != nullptr || bug.seqRepro != nullptr) {
+        if (bug.repro != nullptr) {
             ++with_repro;
             const auto file = dir / reduce::reportFileName(key);
             EXPECT_TRUE(std::filesystem::exists(file)) << file;
