@@ -30,6 +30,9 @@
  *                        [--report-dir DIR] [--corpus DIR]
  */
 #include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "bench_util.h"
 #include "corpus/parser.h"
@@ -127,7 +130,9 @@ main(int argc, char** argv)
 
     const std::filesystem::path base =
         options.reportDir.empty()
-            ? std::filesystem::temp_directory_path() / "nnsmith-bench-corpus"
+            // Per process, so concurrent runs never delete each other's.
+            ? std::filesystem::temp_directory_path() /
+                  ("nnsmith-bench-corpus-" + std::to_string(::getpid()))
             : std::filesystem::path(options.reportDir);
     const std::string graph_dir = (base / "graph").string();
     const std::string seq_dir = (base / "seq").string();
@@ -227,6 +232,8 @@ main(int argc, char** argv)
         .field("regressions_identical_1_2_4", shard_identical)
         .endObject()
         .endObject();
+    if (options.reportDir.empty())
+        std::filesystem::remove_all(base);
     if (!bench::writeJson(options.outPath, json))
         return 1;
     return all_still_fire && roundtrip_ok && shard_identical ? 0 : 1;

@@ -36,7 +36,10 @@
  *                          [--metrics-out F]
  */
 #include <filesystem>
+#include <string>
 #include <thread>
+
+#include <unistd.h>
 
 #include "bench_util.h"
 #include "corpus/corpus.h"
@@ -198,8 +201,10 @@ main(int argc, char** argv)
     setTelemetry(false, "");
     obs::setProgressRequested(false);
 
+    // Per process, so concurrent runs never delete each other's corpus.
     const fs::path base =
-        fs::temp_directory_path() / "nnsmith-bench-identity";
+        fs::temp_directory_path() /
+        ("nnsmith-bench-identity-" + std::to_string(::getpid()));
     fs::remove_all(base);
     fs::create_directories(base);
     const std::string trace_path = options.traceOut.empty()

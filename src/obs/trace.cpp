@@ -155,6 +155,13 @@ PhaseSpan::PhaseSpan(const char* prefix, const std::string& dynamic)
     active_ = true;
 }
 
+void
+PhaseSpan::rename(const char* name)
+{
+    if (active_)
+        name_ = name;
+}
+
 PhaseSpan::~PhaseSpan()
 {
     if (!active_)

@@ -5,9 +5,10 @@
  * When a trace sink is open (`--trace-out FILE`), every campaign
  * iteration emits one complete-span event (`"ph":"X"`) per phase it
  * passes through: `gen`, `exec:<backend>`, `oracle`, `minimize`,
- * `replay`. Each line is a standalone JSON object, so the file is both
- * valid JSONL and — wrapped in `[...]` — loadable by chrome://tracing
- * and Perfetto:
+ * `replay`; inside `gen`, the z3 solver adds one `solver.*` span per
+ * context, query and model (solver/z3_solver.cpp). Each line is a
+ * standalone JSON object, so the file is both valid JSONL and —
+ * wrapped in `[...]` — loadable by chrome://tracing and Perfetto:
  *
  *   {"name":"exec:OrtLite","cat":"campaign","ph":"X",
  *    "ts":1234,"dur":56,"pid":4711,"tid":1}
@@ -66,6 +67,10 @@ class PhaseSpan {
      *  spares the string concat on the disabled path. */
     PhaseSpan(const char* prefix, const std::string& dynamic);
     ~PhaseSpan();
+
+    /** Relabel the span before it ends, for a phase whose kind is
+     *  known only at its end (a solver check that comes back unsat). */
+    void rename(const char* name);
 
     PhaseSpan(const PhaseSpan&) = delete;
     PhaseSpan& operator=(const PhaseSpan&) = delete;

@@ -4,11 +4,20 @@
  *
  * Kept in one translation unit so the rest of the library never includes
  * z3++.h; the build works with or without z3 present.
+ *
+ * Each solver owns a fresh z3::context and sits on z3's incremental
+ * `simple()` solver, which serves the generator's push/check/pop
+ * traffic without the default solver's per-check mode switching. A
+ * context shared across models would make z3's answers depend on what
+ * earlier models asked it, and with them the generated graphs.
  */
+#include <memory>
 #include <unordered_map>
 
 #include <z3++.h>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "solver/solver.h"
 #include "support/logging.h"
 
@@ -21,14 +30,45 @@ using symbolic::ExprRef;
 
 namespace {
 
+/**
+ * Per-check resource limit, in z3's deterministic rlimit units. z3
+ * applies it to each check() on its own, not to the solver's lifetime;
+ * a check that runs out returns `unknown`, which tryAdd rejects like
+ * `unsat`. Unlike a wall-clock timeout, the verdict cannot depend on
+ * machine load.
+ *
+ * Where the number comes from (per-check counts, 4-core x86 host):
+ *  - the largest check that completed used 71,829 units, in 29 ms
+ *    (`campaign_bench` fresh-ort, seed 4242, 10 s). The other 14 runs
+ *    (all three workloads at seeds 2023 and 901, fresh-ort at six
+ *    more seeds) and the whole test suite stayed under 4,200;
+ *  - a runaway check on nonlinear shape constraints (stride division;
+ *    one arises in reduce_test's pass-sequence campaign) gets slower
+ *    per unit as it goes: 50k units took 27 ms, 100k 2.7 s, 150k 5.8 s
+ *    and 300k 16 s. A 100x margin over the largest completed check
+ *    would let it run for hours.
+ * 150,000 is twice the largest completed check and ~36x the next one,
+ * and stops a runaway within seconds, near the 2 s wall-clock timeout
+ * it replaces.
+ */
+constexpr unsigned kCheckRlimit = 150'000;
+
+/** A fresh context, timed as the `solver.context` phase. */
+std::unique_ptr<z3::context>
+makeContext()
+{
+    obs::PhaseSpan span("solver.context");
+    return std::make_unique<z3::context>();
+}
+
 /** Incremental z3 wrapper with push/pop batch semantics. */
 class Z3Solver final : public Solver {
   public:
     explicit Z3Solver(uint64_t seed)
-        : solver_(ctx_)
+        : ctx_(makeContext()), solver_(*ctx_, z3::solver::simple())
     {
-        z3::params params(ctx_);
-        params.set("timeout", 2000u); // per-query cap, milliseconds
+        z3::params params(*ctx_);
+        params.set("rlimit", kCheckRlimit);
         params.set("random_seed", static_cast<unsigned>(seed));
         solver_.set(params);
     }
@@ -38,10 +78,15 @@ class Z3Solver final : public Solver {
     {
         if (batch.empty())
             return true;
+        obs::PhaseSpan span("solver.sat");
+        obs::counterAdd("solver.queries");
         solver_.push();
         for (const auto& p : batch)
             solver_.add(translate(p));
-        if (solver_.check() != z3::sat) {
+        lastSat_ = solver_.check() == z3::sat;
+        if (!lastSat_) {
+            span.rename("solver.unsat");
+            obs::counterAdd("solver.rejected");
             solver_.pop();
             return false;
         }
@@ -52,13 +97,17 @@ class Z3Solver final : public Solver {
     bool
     check() override
     {
-        return solver_.check() == z3::sat;
+        lastSat_ = solver_.check() == z3::sat;
+        return lastSat_;
     }
 
     std::optional<Assignment>
     model() override
     {
-        if (solver_.check() != z3::sat)
+        obs::PhaseSpan span("solver.model");
+        // The last check already found the committed system sat; only
+        // a rejected (popped) batch, or no check at all, needs a new one.
+        if (!lastSat_ && !check())
             return std::nullopt;
         z3::model m = solver_.get_model();
         Assignment a;
@@ -83,7 +132,7 @@ class Z3Solver final : public Solver {
         auto it = vars_.find(id);
         if (it != vars_.end())
             return it->second;
-        z3::expr e = ctx_.int_const(name.c_str());
+        z3::expr e = ctx_->int_const(name.c_str());
         vars_.emplace(id, e);
         return e;
     }
@@ -93,7 +142,7 @@ class Z3Solver final : public Solver {
     {
         switch (e->kind()) {
           case ExprKind::kConst:
-            return ctx_.int_val(e->value());
+            return ctx_->int_val(e->value());
           case ExprKind::kVar:
             return varFor(e->varId(), e->varName());
           case ExprKind::kNeg:
@@ -141,10 +190,11 @@ class Z3Solver final : public Solver {
         NNSMITH_PANIC("bad CmpOp");
     }
 
-    z3::context ctx_;
+    std::unique_ptr<z3::context> ctx_;
     z3::solver solver_;
     std::unordered_map<VarId, z3::expr> vars_;
     size_t numCommitted_ = 0;
+    bool lastSat_ = false; ///< the last check() found the system sat
 };
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "solver/solver.h"
 
 namespace nnsmith {
 namespace {
@@ -433,6 +434,16 @@ TEST(ObsInertness, TelemetryOnOffIdentityAcrossModesAndShards)
     EXPECT_GT(snapshot.counters.at("campaign.iterations"), 0u);
     EXPECT_GT(snapshot.histograms.count("phase.gen"), 0u);
     EXPECT_GT(snapshot.histograms.count("phase.exec:OrtLite"), 0u);
+    if (solver::haveZ3()) {
+        // The z3 solver's spans and counters, recorded inside gen.
+        EXPECT_GT(snapshot.counters.at("solver.queries"), 0u);
+        EXPECT_GT(snapshot.counters.at("solver.rejected"), 0u);
+        EXPECT_LT(snapshot.counters.at("solver.rejected"),
+                  snapshot.counters.at("solver.queries"));
+        for (const char* phase : {"phase.solver.context", "phase.solver.sat",
+                                  "phase.solver.unsat", "phase.solver.model"})
+            EXPECT_GT(snapshot.histograms.count(phase), 0u) << phase;
+    }
     EXPECT_TRUE(isValidJson(snapshot.renderJson()));
 
     // Every trace line is standalone valid JSON with the chrome-trace

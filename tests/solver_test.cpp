@@ -2,6 +2,8 @@
  * Tests for the solver backends, including property-style equivalence
  * between z3 (when present) and the native solver on random systems.
  */
+#include <unordered_map>
+
 #include <gtest/gtest.h>
 
 #include "solver/solver.h"
@@ -162,6 +164,67 @@ TEST_P(SolverBackends, ModelSatisfiesRandomSystems)
     }
 }
 
+/** A deterministic mixed batch stream over six small vars: bounds,
+ *  then orderings and sums drawn from @p seed, one rejected on purpose. */
+std::vector<std::vector<symbolic::Pred>>
+mixedBatches(SymbolTable& st, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<symbolic::ExprRef> vars;
+    for (int i = 0; i < 6; ++i)
+        vars.push_back(st.fresh("v"));
+    std::vector<std::vector<symbolic::Pred>> batches;
+    for (const auto& v : vars)
+        batches.push_back({symbolic::ge(v, 1), symbolic::le(v, 32)});
+    for (int i = 0; i < 6; ++i) {
+        const auto& a = vars[rng.index(vars.size())];
+        const auto& b = vars[rng.index(vars.size())];
+        batches.push_back({symbolic::le(a + b, Expr::constant(40))});
+    }
+    batches.push_back({symbolic::ge(vars[0], 33)}); // rejected
+    batches.push_back({symbolic::le(vars[1], vars[2])});
+    return batches;
+}
+
+TEST_P(SolverBackends, SameSeedAndBatchesGiveEqualModels)
+{
+    // Each solver starts from nothing, so what one answered cannot
+    // leak into the next: an unrelated solver built and queried in
+    // between (on the same thread) leaves the second model equal to
+    // the first.
+    auto solve = [&](uint64_t batch_seed) {
+        SymbolTable st;
+        auto s = make();
+        for (const auto& batch : mixedBatches(st, batch_seed))
+            (void)s->tryAdd(batch);
+        const auto m = s->model();
+        EXPECT_TRUE(m.has_value());
+        return m ? m->values() : std::unordered_map<VarId, int64_t>{};
+    };
+    const auto first = solve(5);
+    (void)solve(6);
+    EXPECT_EQ(first, solve(5));
+}
+
+TEST_P(SolverBackends, ModelAfterRejectedBatchSatisfiesCommitted)
+{
+    SymbolTable st;
+    const auto x = st.fresh("x");
+    const auto y = st.fresh("y");
+    const std::vector<symbolic::Pred> committed = {
+        symbolic::ge(x, 2), symbolic::le(x, 9), symbolic::eq(y, x * Expr::constant(3)),
+    };
+    auto s = make();
+    ASSERT_TRUE(s->tryAdd(committed));
+    // The last query before model() fails, as when binning ends on a
+    // dropped pair: the model must come from the committed system.
+    ASSERT_FALSE(s->tryAdd({symbolic::ge(y, 28), symbolic::le(x, 5)}));
+    const auto m = s->model();
+    ASSERT_TRUE(m.has_value());
+    for (const auto& p : committed)
+        EXPECT_TRUE(symbolic::holds(p, *m)) << symbolic::toString(p);
+}
+
 std::vector<SolverKind>
 backendsUnderTest()
 {
@@ -176,6 +239,32 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SolverKind>& info) {
         return info.param == SolverKind::kZ3 ? "z3" : "native";
     });
+
+TEST(Z3Solver, LongIncrementalSessionStaysSat)
+{
+    if (!haveZ3())
+        GTEST_SKIP() << "built without z3";
+    // 200 queries on one solver, each adding a variable that must not
+    // pair up to 17 with any of the last ten. The checks grow with the
+    // system: together they use ~3.5M rlimit units, over 20x z3's
+    // per-check limit, so the limit must apply to each check on its
+    // own for all 200 to come back sat.
+    SymbolTable st;
+    auto s = makeSolver(SolverKind::kZ3, 1234);
+    std::vector<symbolic::ExprRef> vars;
+    for (int i = 0; i < 200; ++i) {
+        const auto next = st.fresh("c");
+        std::vector<symbolic::Pred> batch = {
+            symbolic::ge(next, 1), symbolic::le(next, 16),
+            symbolic::le(next + next, Expr::constant(24))};
+        for (size_t j = vars.size() < 10 ? 0 : vars.size() - 10;
+             j < vars.size(); ++j)
+            batch.push_back(symbolic::ne(next + vars[j], Expr::constant(17)));
+        ASSERT_TRUE(s->tryAdd(batch)) << "query " << i;
+        vars.push_back(next);
+    }
+    EXPECT_TRUE(s->model().has_value());
+}
 
 TEST(SolverFactory, AutoPrefersZ3WhenAvailable)
 {
