@@ -201,7 +201,8 @@ main(int argc, char** argv)
     setTelemetry(false, "");
     obs::setProgressRequested(false);
 
-    // Per process, so concurrent runs never delete each other's corpus.
+    // Per process, so concurrent runs never delete each other's corpus;
+    // removed at the end.
     const fs::path base =
         fs::temp_directory_path() /
         ("nnsmith-bench-identity-" + std::to_string(::getpid()));
@@ -428,6 +429,7 @@ main(int argc, char** argv)
                 verdict(base_section.ok), verdict(telemetry.ok),
                 verdict(batch.ok), verdict(guided.ok), verdict(ok));
     json.field("ok", ok).endObject();
+    fs::remove_all(base);
     if (!bench::writeJson(options.outPath, json))
         return 1;
     return ok ? 0 : 1;

@@ -37,21 +37,15 @@ namespace {
  * `unsat`. Unlike a wall-clock timeout, the verdict cannot depend on
  * machine load.
  *
- * Where the number comes from (per-check counts, 4-core x86 host):
- *  - the largest check that completed used 71,829 units, in 29 ms
- *    (`campaign_bench` fresh-ort, seed 4242, 10 s). The other 14 runs
- *    (all three workloads at seeds 2023 and 901, fresh-ort at six
- *    more seeds) and the whole test suite stayed under 4,200;
- *  - a runaway check on nonlinear shape constraints (stride division;
- *    one arises in reduce_test's pass-sequence campaign) gets slower
- *    per unit as it goes: 50k units took 27 ms, 100k 2.7 s, 150k 5.8 s
- *    and 300k 16 s. A 100x margin over the largest completed check
- *    would let it run for hours.
- * 150,000 is twice the largest completed check and ~36x the next one,
- * and stops a runaway within seconds, near the 2 s wall-clock timeout
- * it replaces.
+ * Where the number comes from: the largest single check seen used
+ * 71,842 units (32 ms; `campaign_bench` fresh-ort, seed 4242, 10 s).
+ * Every other check of the three workloads at seeds 4242, 2023 and
+ * 901 (~58,000 checks, none unknown) used under 2,500. 7,500,000 is
+ * ~104x the largest. With nlsat off (see the constructor), a check
+ * that never finishes spends ~0.75 us per unit (4-core x86 host), so
+ * it is cut after ~5.6 s.
  */
-constexpr unsigned kCheckRlimit = 150'000;
+constexpr unsigned kCheckRlimit = 7'500'000;
 
 /** A fresh context, timed as the `solver.context` phase. */
 std::unique_ptr<z3::context>
@@ -69,6 +63,17 @@ class Z3Solver final : public Solver {
     {
         z3::params params(*ctx_);
         params.set("rlimit", kCheckRlimit);
+        // z3's complete nonlinear real procedure (nlsat), which the
+        // integer solver falls back to when linearization yields no
+        // lemma, stays off. Shape systems reached it only in a hopeless
+        // case: a reshape product equality whose binned dim is a prime
+        // no product of the other dims reaches, plus stride division.
+        // There each nlsat call costs seconds yet barely advances the
+        // rlimit count (150,000 units took 7.7 s, against 0.1 s with it
+        // off), so no rlimit could bound the check. Without it that
+        // check still comes back `unknown`, as under the old 2 s
+        // timeout, and every other check seen is unchanged.
+        params.set("smt.arith.nl.nra", false);
         params.set("random_seed", static_cast<unsigned>(seed));
         solver_.set(params);
     }

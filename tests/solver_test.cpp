@@ -245,10 +245,10 @@ TEST(Z3Solver, LongIncrementalSessionStaysSat)
     if (!haveZ3())
         GTEST_SKIP() << "built without z3";
     // 200 queries on one solver, each adding a variable that must not
-    // pair up to 17 with any of the last ten. The checks grow with the
-    // system: together they use ~3.5M rlimit units, over 20x z3's
-    // per-check limit, so the limit must apply to each check on its
-    // own for all 200 to come back sat.
+    // pair up to 17 with any of the last forty. The checks grow with
+    // the system: together they use ~12.2M rlimit units, ~1.6x z3's
+    // per-check limit (the largest one ~132k), so the limit must apply
+    // to each check on its own for all 200 to come back sat.
     SymbolTable st;
     auto s = makeSolver(SolverKind::kZ3, 1234);
     std::vector<symbolic::ExprRef> vars;
@@ -257,7 +257,7 @@ TEST(Z3Solver, LongIncrementalSessionStaysSat)
         std::vector<symbolic::Pred> batch = {
             symbolic::ge(next, 1), symbolic::le(next, 16),
             symbolic::le(next + next, Expr::constant(24))};
-        for (size_t j = vars.size() < 10 ? 0 : vars.size() - 10;
+        for (size_t j = vars.size() < 40 ? 0 : vars.size() - 40;
              j < vars.size(); ++j)
             batch.push_back(symbolic::ne(next + vars[j], Expr::constant(17)));
         ASSERT_TRUE(s->tryAdd(batch)) << "query " << i;
