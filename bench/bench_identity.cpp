@@ -202,7 +202,7 @@ main(int argc, char** argv)
     obs::setProgressRequested(false);
 
     // Per process, so concurrent runs never delete each other's corpus;
-    // removed at the end.
+    // removed after the last section.
     const fs::path base =
         fs::temp_directory_path() /
         ("nnsmith-bench-identity-" + std::to_string(::getpid()));
@@ -429,7 +429,6 @@ main(int argc, char** argv)
                 verdict(base_section.ok), verdict(telemetry.ok),
                 verdict(batch.ok), verdict(guided.ok), verdict(ok));
     json.field("ok", ok).endObject();
-    fs::remove_all(base);
     if (!bench::writeJson(options.outPath, json))
         return 1;
     return ok ? 0 : 1;

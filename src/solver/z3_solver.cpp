@@ -7,9 +7,10 @@
  *
  * Each solver owns a fresh z3::context and sits on z3's incremental
  * `simple()` solver, which serves the generator's push/check/pop
- * traffic without the default solver's per-check mode switching. A
- * context shared across models would make z3's answers depend on what
- * earlier models asked it, and with them the generated graphs.
+ * traffic without the second, non-incremental tactic solver that the
+ * default combined solver carries. A context shared across models
+ * would make z3's answers depend on what earlier models asked it, and
+ * with them the generated graphs.
  */
 #include <memory>
 #include <unordered_map>
@@ -71,8 +72,8 @@ class Z3Solver final : public Solver {
         // There each nlsat call costs seconds yet barely advances the
         // rlimit count (150,000 units took 7.7 s, against 0.1 s with it
         // off), so no rlimit could bound the check. Without it that
-        // check still comes back `unknown`, as under the old 2 s
-        // timeout, and every other check seen is unchanged.
+        // check still comes back `unknown`, and every other check seen
+        // is unchanged.
         params.set("smt.arith.nl.nra", false);
         params.set("random_seed", static_cast<unsigned>(seed));
         solver_.set(params);
